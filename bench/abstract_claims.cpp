@@ -35,10 +35,6 @@ int main(int argc, char** argv) {
   // paper's numbers are stated in (fused mode drops the update pass's
   // redundant image/label reads from CPA traffic).
   set_fusion(false);
-  // Same reasoning for the assignment schedule: the row sweep's
-  // window-based traffic charges are the paper's convention; the cluster
-  // schedule's once-per-pixel accounting would skew the modelled bytes.
-  set_assign_strategy(AssignStrategy::kRow);
   if (!CliArgs(argc, argv).has("images")) config.images = 6;
   bench::banner("Reproduction scoreboard — the paper's headline claims", config);
 

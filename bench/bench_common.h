@@ -36,7 +36,6 @@
 #include "dataset/synthetic.h"
 #include "metrics/segmentation_metrics.h"
 #include "slic/assign_kernels.h"
-#include "slic/assign_strategy.h"
 #include "slic/segmenter.h"
 
 namespace sslic::bench {
@@ -57,10 +56,8 @@ struct BenchConfig {
   /// `SSLIC_THREADS` environment variable when the flag is absent) resizes
   /// the global thread pool, `--simd=scalar|sse2|avx2|avx512|neon` (or the
   /// `SSLIC_SIMD` environment variable) selects the assignment-kernel ISA
-  /// for the whole bench run, `--assign=auto|row|cluster` (or the
-  /// `SSLIC_ASSIGN` environment variable) pins the CPA assignment
-  /// schedule, and `--trace=out.json` arms the tracing session (dumped at
-  /// process exit; see common/trace.h).
+  /// for the whole bench run, and `--trace=out.json` arms the tracing
+  /// session (dumped at process exit; see common/trace.h).
   static BenchConfig parse(int argc, const char* const* argv) {
     const CliArgs args(argc, argv);
     BenchConfig config;
@@ -80,16 +77,6 @@ struct BenchConfig {
       std::cerr << "unknown --simd value '" << simd_request
                 << "' (expected scalar|sse2|avx2|avx512|neon)\n";
       std::exit(2);
-    }
-    const std::string assign_request = args.get_string("assign", "");
-    if (!assign_request.empty()) {
-      AssignStrategy strategy = AssignStrategy::kAuto;
-      if (!parse_assign_strategy(assign_request, &strategy)) {
-        std::cerr << "unknown --assign value '" << assign_request
-                  << "' (expected auto|row|cluster)\n";
-        std::exit(2);
-      }
-      set_assign_strategy(strategy);
     }
     const std::string trace_path = args.get_string("trace", "");
     if (!trace_path.empty()) {
@@ -189,8 +176,7 @@ inline void banner(const std::string& title, const BenchConfig& config) {
             << "workload: " << config.images << " synthetic Berkeley-like images, "
             << config.width << 'x' << config.height << ", K=" << config.superpixels
             << ", m=" << config.compactness << ", threads=" << config.threads
-            << ", simd=" << simd::isa_name(kernels::active_isa())
-            << ", assign=" << assign_strategy_name(assign_strategy()) << '\n'
+            << ", simd=" << simd::isa_name(kernels::active_isa()) << '\n'
             << "(see DESIGN.md §1 for the BSDS substitution; --images=N to scale)\n"
             << "==================================================================\n";
 }

@@ -96,10 +96,6 @@ int main(int argc, char** argv) {
   // Traffic columns use the paper's two-pass accounting; pin fusion off
   // so the CPA/PPA traffic ratios stay comparable to Table 2.
   set_fusion(false);
-  // Same reasoning for the assignment schedule: the row sweep's
-  // window-based traffic charges are the paper's convention; the cluster
-  // schedule's once-per-pixel accounting would skew the modelled bytes.
-  set_assign_strategy(AssignStrategy::kRow);
   bench::banner("Fig. 2 — quality vs runtime: SLIC vs S-SLIC (CPU)", config);
   std::cout << "annotators per image: " << config.annotators
             << " (use --annotators=4 for BSDS-like human-disagreement "

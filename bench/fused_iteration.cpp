@@ -16,16 +16,9 @@
 // and the paper's Table-2 per-iteration figures (318 MB classic CPA,
 // 100 MB PPA) for context.
 //
-// Two extra arms run at the max-thread point (DESIGN.md §4g): the
-// cluster-centric assignment schedule (wall clock plus its once-per-pixel
-// modelled traffic, which undercuts the row sweep's per-window re-reads)
-// and a BatchSegmenter group that amortizes dispatch/seeding overhead
-// across frames. Both are identity-checked before timing is trusted.
-//
 //   fused_iteration [--frames=5] [--width=1920 --height=1080]
 //                   [--superpixels=2000] [--ratio=1.0]
 //                   [--simd=scalar|sse2|avx2|avx512|neon]
-//                   [--assign=auto|row|cluster]
 #include <algorithm>
 #include <cstring>
 #include <iostream>
@@ -35,7 +28,6 @@
 #include "bench_common.h"
 #include "color/color_convert.h"
 #include "common/thread_pool.h"
-#include "slic/batch.h"
 #include "slic/fusion.h"
 #include "slic/slic_baseline.h"
 
@@ -60,16 +52,6 @@ int main(int argc, char** argv) {
   if (!simd_request.empty() && !simd::set_preferred_isa(simd_request)) {
     std::cerr << "unknown --simd value '" << simd_request << "'\n";
     return 2;
-  }
-  const std::string assign_request = args.get_string("assign", "");
-  if (!assign_request.empty()) {
-    AssignStrategy assign = AssignStrategy::kAuto;
-    if (!parse_assign_strategy(assign_request, &assign)) {
-      std::cerr << "unknown --assign value '" << assign_request
-                << "' (expected auto|row|cluster)\n";
-      return 2;
-    }
-    set_assign_strategy(assign);
   }
 
   const int hw_threads = ThreadPool::default_threads();
@@ -211,88 +193,6 @@ int main(int argc, char** argv) {
     std::cout << '\n';
   }
 
-  // --- Cluster-schedule arm (DESIGN.md §4g), max-thread point, fused ---
-  // The cluster schedule touches each pixel's Lab/distance/label entries
-  // once, so its modelled traffic undercuts the row sweep's per-window
-  // re-reads deterministically; wall clock is machine-dependent (see the
-  // heuristic discussion in §4g). Labels/centers must match the row arm
-  // byte for byte.
-  double cluster_ms = 0.0;
-  double cluster_bytes_per_iter = 0.0;
-  bool cluster_identical = true;
-  {
-    FusionGuard fusion_guard(true);
-    Segmentation row_ref;
-    Segmentation cluster_result;
-    IterationScratch scratch;
-    {
-      const AssignStrategyGuard row_guard(AssignStrategy::kRow);
-      slic.segment_lab_into(lab, row_ref, scratch);
-    }
-    const AssignStrategyGuard cluster_guard(AssignStrategy::kCluster);
-    Instrumentation cluster_instr;
-    std::vector<double> times;
-    for (int f = -1; f < frames; ++f) {  // f == -1 warms the arm, untimed
-      Stopwatch watch;
-      slic.segment_lab_into(lab, cluster_result, scratch, {}, &cluster_instr);
-      if (f >= 0) times.push_back(watch.elapsed_ms());
-    }
-    cluster_ms = median(std::move(times));
-    cluster_bytes_per_iter = cluster_instr.traffic_bytes_per_iteration();
-    cluster_identical =
-        std::equal(cluster_result.labels.pixels().begin(),
-                   cluster_result.labels.pixels().end(),
-                   row_ref.labels.pixels().begin()) &&
-        std::memcmp(cluster_result.centers.data(), row_ref.centers.data(),
-                    cluster_result.centers.size() * sizeof(ClusterCenter)) == 0;
-    std::cout << "cluster schedule (fused, " << last.threads
-              << " thread(s)): " << Table::num(cluster_ms, 1) << " ms/frame, "
-              << Table::si(cluster_bytes_per_iter, 1)
-              << "B modelled DRAM/iteration, labels/centers "
-              << (cluster_identical ? "identical to row" : "DIVERGED (bug!)")
-              << '\n';
-  }
-
-  // --- Batched arm: BatchSegmenter over a small frame group ---
-  // Amortizes per-frame dispatch, center seeding, and trace overhead; each
-  // frame's output must equal its single-frame run bit for bit (the batch
-  // runs frames as pool chunks with serial inner segmenters).
-  const int batch_group = 4;
-  double batch_ms_per_frame = 0.0;
-  bool batch_identical = true;
-  {
-    const std::vector<LabImage> group(static_cast<std::size_t>(batch_group),
-                                      lab);
-    BatchSegmenter batch(params);
-    Segmentation single;
-    IterationScratch scratch;
-    slic.segment_lab_into(lab, single, scratch);
-    std::vector<double> times;
-    for (int f = -1; f < frames; ++f) {  // f == -1 warms the slot pools
-      Stopwatch watch;
-      batch.segment_lab_batch(group);
-      if (f >= 0) times.push_back(watch.elapsed_ms() / batch_group);
-    }
-    batch_ms_per_frame = median(std::move(times));
-    for (const Segmentation& r : batch.results()) {
-      batch_identical =
-          batch_identical &&
-          std::equal(r.labels.pixels().begin(), r.labels.pixels().end(),
-                     single.labels.pixels().begin()) &&
-          std::memcmp(r.centers.data(), single.centers.data(),
-                      r.centers.size() * sizeof(ClusterCenter)) == 0;
-    }
-    std::cout << "batched (" << batch_group << " frames/batch, "
-              << last.threads << " thread(s)): "
-              << Table::num(batch_ms_per_frame, 1) << " ms/frame vs "
-              << Table::num(last.fused.ms, 1) << " single ("
-              << Table::num(last.fused.ms / batch_ms_per_frame, 2)
-              << "x), outputs "
-              << (batch_identical ? "identical to single-frame runs"
-                                  : "DIVERGED (bug!)")
-              << '\n';
-  }
-
   bench::GateMetrics gate;
   // Wall-clock metrics get a wide tolerance (shared CI runners); the
   // analytic traffic model is deterministic, so it gates tightly.
@@ -302,11 +202,7 @@ int main(int argc, char** argv) {
       .lower_is_better("fused_bytes_per_iteration", last.fused.bytes_per_iter,
                        "bytes", 0.01)
       .lower_is_better("two_pass_bytes_per_iteration",
-                       last.two_pass.bytes_per_iter, "bytes", 0.01)
-      .lower_is_better("cluster_ms_per_frame", cluster_ms, "ms", 0.15)
-      .lower_is_better("cluster_bytes_per_iteration", cluster_bytes_per_iter,
-                       "bytes", 0.01)
-      .lower_is_better("batch_ms_per_frame", batch_ms_per_frame, "ms", 0.15);
+                       last.two_pass.bytes_per_iter, "bytes", 0.01);
 
   bench::Json sweep = bench::Json::array();
   for (const Point& p : points) {
@@ -331,14 +227,6 @@ int main(int argc, char** argv) {
       .set("paper_table2_mb_per_iteration",
            bench::Json::object().set("cpa_two_pass", 318).set("ppa", 100))
       .set("sweep", std::move(sweep))
-      .set("cluster", bench::Json::object()
-                          .set("ms_per_frame", cluster_ms)
-                          .set("bytes_per_iteration", cluster_bytes_per_iter)
-                          .set("identical_to_row", cluster_identical))
-      .set("batch", bench::Json::object()
-                        .set("frames_per_batch", batch_group)
-                        .set("ms_per_frame", batch_ms_per_frame)
-                        .set("identical_to_single", batch_identical))
       .set("roofline",
            bench::roofline_json(analytic_ops, analytic_bytes, last.fused.ms,
                                 per_frame_counters))

@@ -185,29 +185,6 @@ void BM_SimdAssignCandidatesRow(benchmark::State& state) {
 }
 BENCHMARK(BM_SimdAssignCandidatesRow)->Apply(SimdIsaArgs);
 
-void BM_SimdAssignCandidatesRowSeeded(benchmark::State& state) {
-  // The cluster-centric CPA span kernel (DESIGN.md §4g): running minimum
-  // seeded from the persistent plane, held in registers across the
-  // candidate list, stored back once. Cluster-mode spans are shorter than
-  // a full row, but the per-pixel work is identical.
-  const auto isa = static_cast<simd::Isa>(state.range(0));
-  const kernels::KernelTable& kt = kernels::table_for(isa);
-  const KernelRow& row = kernel_row();
-  std::vector<double> min_dist = row.min_dist;
-  std::vector<std::int32_t> labels = row.labels;
-  for (auto _ : state) {
-    kt.assign_candidates_row_seeded(row.L.data(), row.a.data(), row.b.data(),
-                                    0, KernelRow::kWidth, 160.0,
-                                    row.cands.data(), 9, 0.25, min_dist.data(),
-                                    labels.data());
-    benchmark::DoNotOptimize(labels.data());
-  }
-  state.SetLabel(simd::isa_name(isa));
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          KernelRow::kWidth);
-}
-BENCHMARK(BM_SimdAssignCandidatesRowSeeded)->Apply(SimdIsaArgs);
-
 void BM_SimdAssignCandidatesRowU8(benchmark::State& state) {
   const auto isa = static_cast<simd::Isa>(state.range(0));
   const kernels::KernelTable& kt = kernels::table_for(isa);

@@ -1,8 +1,6 @@
 // SIMD assignment-kernel benchmark: scalar vs every vector backend this
-// binary + CPU can run, for the four hot row kernels (CPA running-min,
-// PPA 9-candidate argmin, seeded cluster-span argmin, 8-bit datapath
-// 9-candidate argmin), plus an end-to-end CPA comparison of the row-sweep
-// and cluster-centric assignment schedules per ISA (DESIGN.md §4g).
+// binary + CPU can run, for the three hot row kernels (CPA running-min,
+// PPA 9-candidate argmin, 8-bit datapath 9-candidate argmin).
 //
 // Reports ns/pixel and effective GB/s per backend, the speedup of the best
 // vector backend over scalar, and — before any timing is trusted — a
@@ -22,12 +20,9 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "color/color_convert.h"
 #include "common/rng.h"
 #include "common/simd.h"
 #include "slic/assign_kernels.h"
-#include "slic/iteration_scratch.h"
-#include "slic/slic_baseline.h"
 
 namespace {
 
@@ -112,12 +107,7 @@ struct RunState {
   std::vector<std::int32_t> labels;
 };
 
-enum class Kernel {
-  kCenterRow,
-  kCandidatesRow,
-  kCandidatesRowSeeded,
-  kCandidatesRowU8
-};
+enum class Kernel { kCenterRow, kCandidatesRow, kCandidatesRowU8 };
 
 const char* kernel_name(Kernel k) {
   switch (k) {
@@ -125,8 +115,6 @@ const char* kernel_name(Kernel k) {
       return "assign_center_row";
     case Kernel::kCandidatesRow:
       return "assign_candidates_row";
-    case Kernel::kCandidatesRowSeeded:
-      return "assign_candidates_row_seeded";
     case Kernel::kCandidatesRowU8:
       return "assign_candidates_row_u8";
   }
@@ -141,8 +129,6 @@ double bytes_per_pixel(Kernel k) {
       return 3 * 4 + 8 + 4 + 8 + 4;  // 3 floats + min r/w + label r/w
     case Kernel::kCandidatesRow:
       return 3 * 4 + 8 + 4;  // 3 floats in, min + label out
-    case Kernel::kCandidatesRowSeeded:
-      return 3 * 4 + 8 + 4 + 8 + 4;  // 3 floats + min r/w + label r/w
     case Kernel::kCandidatesRowU8:
       return 3 * 1 + 4;  // 3 channel bytes in, label out
   }
@@ -170,12 +156,6 @@ void run_pass(const kernels::KernelTable& table, Kernel kernel,
             wl.L.data() + off, wl.a.data() + off, wl.b.data() + off, 0, width,
             static_cast<double>(r), wl.cands.data(), 9, wl.spatial_weight,
             nullptr, state.min_dist.data() + off, state.labels.data() + off);
-        break;
-      case Kernel::kCandidatesRowSeeded:
-        table.assign_candidates_row_seeded(
-            wl.L.data() + off, wl.a.data() + off, wl.b.data() + off, 0, width,
-            static_cast<double>(r), wl.cands.data(), 9, wl.spatial_weight,
-            state.min_dist.data() + off, state.labels.data() + off);
         break;
       case Kernel::kCandidatesRowU8:
         table.assign_candidates_row_u8(
@@ -227,8 +207,7 @@ int main(int argc, char** argv) {
   }
 
   for (const Kernel kernel :
-       {Kernel::kCenterRow, Kernel::kCandidatesRow,
-        Kernel::kCandidatesRowSeeded, Kernel::kCandidatesRowU8}) {
+       {Kernel::kCenterRow, Kernel::kCandidatesRow, Kernel::kCandidatesRowU8}) {
     // Identity cross-check first: every backend, same inputs, one pass.
     RunState ref{wl.min_dist, wl.labels};
     run_pass(kernels::scalar_table(), kernel, wl, ref);
@@ -306,90 +285,6 @@ int main(int argc, char** argv) {
                               : "MISMATCH (see above)")
             << '\n';
 
-  // --- End-to-end CPA schedule comparison (DESIGN.md §4g) ---
-  // One full segmentation per sample, row-sweep vs cluster-centric
-  // schedule under every runnable ISA. Byte-identity of labels and centers
-  // is asserted before any timing is trusted, and the per-ISA cluster
-  // frame time + cluster/row speedup feed the gate so a cluster-schedule
-  // regression fails CI even while auto keeps picking it.
-  const int e2e_width = width;
-  const int e2e_height = std::max(64, width * 2 / 3);
-  const int e2e_k = args.get_int("superpixels", 400);
-  const int e2e_iters = args.get_int("iterations", 5);
-  SyntheticParams synth;
-  synth.width = e2e_width;
-  synth.height = e2e_height;
-  const GroundTruthImage sample = generate_synthetic(synth, 20260810);
-  const LabImage lab = srgb_to_lab(sample.image);
-  SlicParams slic_params;
-  slic_params.num_superpixels = e2e_k;
-  slic_params.max_iterations = e2e_iters;
-  const CpaSlic cpa(slic_params);
-
-  bench::Json strategy_isas_json = bench::Json::array();
-  Table e2e_table("CPA full segmentation, ms/frame by assignment schedule");
-  e2e_table.set_header({"isa", "row", "cluster", "cluster speedup"});
-  const simd::Isa restore_isa = simd::preferred_isa();
-  for (const simd::Isa isa : isas) {
-    simd::set_preferred_isa(isa);
-    Segmentation row_result;
-    Segmentation cluster_result;
-    IterationScratch scratch;
-    double ms_row = 0.0;
-    double ms_cluster = 0.0;
-    for (const AssignStrategy strategy :
-         {AssignStrategy::kRow, AssignStrategy::kCluster}) {
-      const AssignStrategyGuard guard(strategy);
-      const bool cluster = strategy == AssignStrategy::kCluster;
-      Segmentation& result = cluster ? cluster_result : row_result;
-      cpa.segment_lab_into(lab, result, scratch);  // warm-up (+ result)
-      std::array<double, 3> samples{};
-      for (double& s : samples) {
-        Stopwatch watch;
-        cpa.segment_lab_into(lab, result, scratch);
-        s = watch.elapsed_ms();
-      }
-      std::sort(samples.begin(), samples.end());
-      (cluster ? ms_cluster : ms_row) = samples[1];
-    }
-    const bool same =
-        std::memcmp(row_result.labels.data(), cluster_result.labels.data(),
-                    static_cast<std::size_t>(e2e_width) *
-                        static_cast<std::size_t>(e2e_height) *
-                        sizeof(std::int32_t)) == 0 &&
-        row_result.centers.size() == cluster_result.centers.size() &&
-        std::memcmp(row_result.centers.data(), cluster_result.centers.data(),
-                    row_result.centers.size() * sizeof(ClusterCenter)) == 0;
-    if (!same) {
-      std::cerr << "MISMATCH: cluster schedule diverges from row on "
-                << simd::isa_name(isa) << '\n';
-      all_identical = false;
-    }
-    const double speedup = ms_cluster > 0.0 ? ms_row / ms_cluster : 0.0;
-    e2e_table.add_row({simd::isa_name(isa), Table::num(ms_row, 2),
-                       Table::num(ms_cluster, 2),
-                       Table::num(speedup, 2) + "x"});
-    strategy_isas_json.push(
-        bench::Json::object()
-            .set("isa", simd::isa_name(isa))
-            .set("row_ms_per_frame", ms_row)
-            .set("cluster_ms_per_frame", ms_cluster)
-            .set("cluster_speedup_vs_row", speedup)
-            .set("outputs_identical", same));
-    // Full segmentations on shared runners swing harder than the pinned
-    // row-kernel loops above; the wall-clock tolerance is wider, and the
-    // deterministic cluster-traffic model gates tightly in
-    // bench/fused_iteration instead.
-    gate.lower_is_better(std::string("cpa_cluster_ms_per_frame_") +
-                             simd::isa_name(isa),
-                         ms_cluster, "ms", 0.50)
-        .higher_is_better(std::string("cpa_cluster_speedup_vs_row_") +
-                              simd::isa_name(isa),
-                          speedup, "x", 0.50);
-  }
-  simd::set_preferred_isa(restore_isa);
-  std::cout << e2e_table;
-
   bench::Json::object()
       .set("bench", "simd_kernels")
       .set("workload", bench::Json::object()
@@ -399,13 +294,6 @@ int main(int argc, char** argv) {
                            .set("candidates", 9))
       .set("machine", bench::machine_json())
       .set("kernels", std::move(kernels_json))
-      .set("cpa_strategies",
-           bench::Json::object()
-               .set("width", e2e_width)
-               .set("height", e2e_height)
-               .set("superpixels", e2e_k)
-               .set("iterations", e2e_iters)
-               .set("isas", std::move(strategy_isas_json)))
       .set("all_outputs_identical", all_identical)
       .set("gate", gate.json())
       .write_file("BENCH_simd_kernels.json");

@@ -18,10 +18,6 @@ int main(int argc, char** argv) {
   // moves that work into the assignment phase and would skew the per-phase
   // percentages; pin it off (bench/fused_iteration measures the fused win).
   set_fusion(false);
-  // Same reasoning for the assignment schedule: the row sweep's
-  // window-based traffic charges are the paper's convention; the cluster
-  // schedule's once-per-pixel accounting would skew the modelled bytes.
-  set_assign_strategy(AssignStrategy::kRow);
   bench::banner("Table 1 — time breakdown of SLIC and S-SLIC (CPU)", config);
 
   const SyntheticCorpus corpus(config.dataset_params(), config.images,

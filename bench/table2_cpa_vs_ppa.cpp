@@ -17,10 +17,6 @@ int main(int argc, char** argv) {
   // update loop's image+label re-reads; the fused loop eliminates them
   // (measured in bench/fused_iteration). Pin the classic accounting.
   set_fusion(false);
-  // Same reasoning for the assignment schedule: the row sweep's
-  // window-based traffic charges are the paper's convention; the cluster
-  // schedule's once-per-pixel accounting would skew the modelled bytes.
-  set_assign_strategy(AssignStrategy::kRow);
   config.width = 1920;
   config.height = 1080;
   config.superpixels = 5000;

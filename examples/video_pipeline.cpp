@@ -75,7 +75,6 @@
 #include "image/draw.h"
 #include "image/io.h"
 #include "metrics/segmentation_metrics.h"
-#include "slic/assign_strategy.h"
 #include "slic/fusion.h"
 #include "slic/hw_datapath.h"
 #include "slic/slic_baseline.h"
@@ -237,16 +236,6 @@ int main(int argc, char** argv) {
               << "' (expected scalar|sse2|avx2|avx512|neon)\n";
     return 2;
   }
-  const std::string assign_request = args.get_string("assign", "");
-  if (!assign_request.empty()) {
-    sslic::AssignStrategy assign = sslic::AssignStrategy::kAuto;
-    if (!sslic::parse_assign_strategy(assign_request, &assign)) {
-      std::cerr << "unknown --assign value '" << assign_request
-                << "' (expected auto|row|cluster)\n";
-      return 2;
-    }
-    sslic::set_assign_strategy(assign);
-  }
   if (args.has("no-fuse")) set_fusion(false);
   // --tile beats SSLIC_TILE; a bad flag value warns once and is ignored
   // (tile_config_from_env applies the same policy to a bad env value).
@@ -319,7 +308,6 @@ int main(int argc, char** argv) {
             << frames << " frames, K=" << superpixels << ", S-SLIC(" << ratio
             << ") golden model, " << ThreadPool::global().threads()
             << " thread(s), simd=" << sslic::simd::isa_name(sslic::simd::preferred_isa())
-            << ", assign=" << sslic::assign_strategy_name(sslic::assign_strategy())
             << ", fused iteration " << (fusion_enabled() ? "on" : "off")
             << "\n\n";
 

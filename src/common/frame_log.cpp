@@ -155,8 +155,6 @@ void append_frame_event_json(std::string& out, const WideFrameEvent& e) {
   out += "}, \"iterations\": " + std::to_string(e.iterations);
   out += ", \"isa\": \"";
   append_escaped(out, e.isa != nullptr ? e.isa : "");
-  out += "\", \"assign\": \"";
-  append_escaped(out, e.assign != nullptr ? e.assign : "");
   out += "\", \"fused\": ";
   out += e.fused ? "true" : "false";
   out += ", \"warm\": ";

@@ -29,8 +29,8 @@ namespace sslic::ops {
 /// One completed frame's causal record. Stage durations are a contiguous
 /// decomposition of the frame's end-to-end latency: each boundary is one
 /// clock read, so the five stages sum to `e2e_ms` up to floating-point
-/// rounding. `isa`/`assign` point at static-storage name strings (the
-/// recording layer never frees or copies them).
+/// rounding. `isa` points at a static-storage name string (the recording
+/// layer never frees or copies it).
 struct WideFrameEvent {
   std::uint64_t trace_id = 0;   ///< frame context id (trace.h), never 0
   int engine_id = 0;            ///< StreamEngine instance, -1 = standalone
@@ -49,7 +49,6 @@ struct WideFrameEvent {
   // Segment-stage detail:
   std::uint32_t iterations = 0;
   const char* isa = "";         ///< SIMD backend name (static storage)
-  const char* assign = "";      ///< assignment strategy name (static storage)
   bool fused = false;
   bool warm = false;            ///< warm-started from the previous frame
   std::uint32_t batch_frames = 0;  ///< frames dispatched in the same batch

@@ -12,8 +12,6 @@
 #include "common/simd.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
-#include "slic/assign_strategy.h"
-#include "slic/temporal.h"
 
 namespace sslic::engine {
 
@@ -136,21 +134,13 @@ StreamId StreamEngine::open_stream(StreamOptions options) {
   stream->dropped_ring.assign(
       std::max<std::size_t>(64, stream->opts.queue_limit * 4), 0);
 
-  // Per-stream segmenters, constructed once so the per-frame path performs
-  // no parameter setup. Warm budget mirrors TemporalSlic exactly — that is
-  // the byte-identity contract with a standalone sequential run.
+  // Per-stream segmenters, constructed (and their options validated) once
+  // so the per-frame path performs no parameter setup.
   if (stream->opts.algorithm == StreamAlgorithm::kCpa) {
     stream->cpa.emplace(stream->opts.params);
   } else {
-    stream->ppa_cold.emplace(stream->opts.params, stream->opts.data_width);
-    if (stream->opts.temporal_warm) {
-      SlicParams warm_params = stream->opts.params;
-      warm_params.max_iterations =
-          stream->opts.warm_iterations > 0
-              ? stream->opts.warm_iterations
-              : TemporalSlic::default_warm_iterations(stream->opts.params);
-      stream->ppa_warm.emplace(warm_params, stream->opts.data_width);
-    }
+    stream->temporal.emplace(stream->opts.params, stream->opts.data_width,
+                             stream->opts.warm_iterations);
   }
 
   std::unique_lock<std::mutex> lock(mutex_);
@@ -216,6 +206,16 @@ std::uint64_t StreamEngine::drop_oldest_locked(Stream& stream,
   if (!slot.ready) return 0;
   const std::uint64_t sequence = slot.sequence;
   if (trace_id != nullptr) *trace_id = slot.trace_id;
+  if (slot.scene_cut) {
+    // The evicted frame was the first after a reset_stream(): the cut moves
+    // to the next queued frame, or to the next admission if none is queued.
+    if (position + 1 < stream.fifo_count) {
+      stream.slots[stream.fifo[(stream.fifo_head + position + 1) % size]]
+          .scene_cut = true;
+    } else {
+      stream.reset_pending = true;
+    }
+  }
   for (std::size_t i = position; i + 1 < stream.fifo_count; ++i)
     stream.fifo[(stream.fifo_head + i) % size] =
         stream.fifo[(stream.fifo_head + i + 1) % size];
@@ -338,6 +338,8 @@ SubmitResult StreamEngine::submit(StreamId id, const RgbImage& frame) {
   slot.enter_ms = enter_ms;
   slot.submit_ms = clock_.elapsed_ms();
   slot.ready = false;
+  slot.scene_cut = stream->reset_pending;
+  stream->reset_pending = false;
   stream->fifo[(stream->fifo_head + stream->fifo_count) % stream->fifo.size()] =
       slot_index;
   ++stream->fifo_count;
@@ -399,12 +401,6 @@ void StreamEngine::scheduler_loop() {
       Slot& slot =
           stream.slots[stream.fifo[stream.fifo_head % stream.fifo.size()]];
       if (!slot.ready) continue;
-      if (stream.reset_requested) {
-        // Latch scene-cut resets at batch formation (under the lock) so
-        // the worker thread only ever reads the warm state.
-        stream.previous_centers.clear();
-        stream.reset_requested = false;
-      }
       stream.in_flight = true;
       BatchEntry entry;
       entry.stream = &stream;
@@ -426,10 +422,9 @@ void StreamEngine::scheduler_loop() {
     {
       SSLIC_TRACE_SCOPE("engine.batch",
                         static_cast<std::int64_t>(batch_.size()));
-      // Frames are the pool chunks (the BatchSegmenter schedule): inside a
-      // worker the inner segmenter sees in_parallel_region() and runs its
-      // serial path, bit-identical to every parallel path by the
-      // determinism contract.
+      // Frames are the pool chunks: inside a worker the inner segmenter
+      // sees in_parallel_region() and runs its serial path, bit-identical
+      // to every parallel path by the determinism contract.
       const auto run_frame = [&](std::size_t i) { process_frame(batch_[i]); };
       ThreadPool& pool = ThreadPool::global();
       if (pool.threads() <= 1 || batch_.size() <= 1 ||
@@ -447,7 +442,6 @@ void StreamEngine::scheduler_loop() {
     // Batch-wide segment-stage facts, resolved once: the wide event stores
     // static name strings so common/frame_log never depends on slic headers.
     const char* const isa = simd::isa_name(simd::preferred_isa());
-    const char* const assign = assign_strategy_name(assign_strategy());
     const auto batch_frames = static_cast<std::uint32_t>(batch_.size());
     for (BatchEntry& entry : batch_) {
       Stream& stream = *entry.stream;
@@ -473,15 +467,14 @@ void StreamEngine::scheduler_loop() {
       draft.event.iterations =
           static_cast<std::uint32_t>(stream.instr.iterations);
       draft.event.isa = isa;
-      draft.event.assign = assign;
       draft.event.fused = stream.instr.fused;
-      draft.event.warm = entry.warm;
+      draft.event.warm = stream.instr.warm;
       draft.event.batch_frames = batch_frames;
       draft.enter_ms = slot.enter_ms;
       draft.seg_end_ms = entry.seg_end_ms;
       drafts_.push_back(draft);
       stream.completed_sequence = slot.sequence;
-      stream.has_result = true;
+      stream.last = entry.segmentation;
       ++stream.completed;
       stream.completed_counter->add();
       frames_counter_->add();
@@ -501,7 +494,7 @@ void StreamEngine::scheduler_loop() {
         pending.fn = &stream.opts.on_complete;
         pending.result.ticket = {stream.id, slot.sequence};
         pending.result.context = {stream.id, slot.sequence, slot.trace_id};
-        pending.result.segmentation = &stream.result;
+        pending.result.segmentation = entry.segmentation;
         pending.result.instrumentation = &stream.instr;
         pending.result.latency_ms = latency;
         pending.result.queue_ms = queued;
@@ -556,31 +549,16 @@ void StreamEngine::process_frame(BatchEntry& entry) {
   {
     SSLIC_TRACE_SCOPE_AT(1, "engine.frame",
                          static_cast<std::int64_t>(slot.sequence));
-    srgb_to_lab(slot.frame, stream.lab);
-    if (stream.opts.algorithm == StreamAlgorithm::kCpa) {
+    if (stream.temporal) {
+      if (slot.scene_cut || !stream.opts.temporal_warm)
+        stream.temporal->reset();
+      entry.segmentation = &stream.temporal->next_frame(slot.frame,
+                                                        &stream.instr);
+    } else {
+      srgb_to_lab(slot.frame, stream.lab);
       stream.cpa->segment_lab_into(stream.lab, stream.result, stream.scratch,
                                    {}, &stream.instr, nullptr);
-    } else {
-      const bool can_warm = stream.opts.temporal_warm &&
-                            !stream.previous_centers.empty() &&
-                            slot.frame.width() == stream.state_width &&
-                            slot.frame.height() == stream.state_height;
-      entry.warm = can_warm;
-      if (can_warm) {
-        stream.ppa_warm->segment_lab_warm_into(
-            stream.lab, stream.previous_centers, stream.result, stream.scratch,
-            {}, &stream.instr, nullptr);
-      } else {
-        stream.ppa_cold->segment_lab_into(stream.lab, stream.result,
-                                          stream.scratch, {}, &stream.instr,
-                                          nullptr);
-      }
-      if (stream.opts.temporal_warm) {
-        // Same center count in steady state: copy-assign reuses the storage.
-        stream.previous_centers = stream.result.centers;
-        stream.state_width = slot.frame.width();
-        stream.state_height = slot.frame.height();
-      }
+      entry.segmentation = &stream.result;
     }
   }
   entry.seg_end_ms = clock_.elapsed_ms();
@@ -663,14 +641,13 @@ void StreamEngine::close_stream(StreamId id) {
 const Segmentation* StreamEngine::last_result(StreamId id) const {
   std::lock_guard<std::mutex> lock(mutex_);
   const Stream* stream = find_stream(id);
-  if (stream == nullptr || !stream->has_result) return nullptr;
-  return &stream->result;
+  return stream == nullptr ? nullptr : stream->last;
 }
 
 void StreamEngine::reset_stream(StreamId id) {
   std::lock_guard<std::mutex> lock(mutex_);
   Stream* stream = find_stream(id);
-  if (stream != nullptr) stream->reset_requested = true;
+  if (stream != nullptr) stream->reset_pending = true;
 }
 
 void StreamEngine::pause() {

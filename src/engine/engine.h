@@ -1,16 +1,17 @@
 // Multi-stream segmentation engine: an in-process service that serves N
 // concurrent video streams from one shared thread pool (DESIGN.md §4j).
 //
-// Each stream owns the full warm-start state of a standalone TemporalSlic
-// run — previous centers, Lab conversion buffer, result, IterationScratch —
-// so its label output is byte-identical to feeding the same frames through
-// an independent sequential segmenter. A dedicated scheduler thread forms
-// *cross-stream batches* (at most one frame per stream per batch, so each
-// stream stays strictly in submission order) and dispatches the batch
-// across the one global ThreadPool exactly like BatchSegmenter: frames are
-// the pool chunks, and each frame's inner segmenter sees
-// ThreadPool::in_parallel_region() and takes the serial code path, which
-// the determinism contract makes bit-identical to every parallel path.
+// Each PPA stream owns a TemporalSlic and feeds it every frame, so the
+// warm-start policy lives in that one class and a stream's label output is
+// byte-identical to an independent sequential TemporalSlic run over the
+// same frames. A CPA stream owns a CpaSlic plus its Lab buffer, result, and
+// IterationScratch, and runs every frame cold. A dedicated scheduler thread
+// forms *cross-stream batches* (at most one frame per stream per batch, so
+// each stream stays strictly in submission order) and dispatches each
+// batch across the one global ThreadPool with frames as the pool chunks:
+// each frame's inner segmenter sees ThreadPool::in_parallel_region() and
+// takes the serial code path, which the determinism contract makes
+// bit-identical to every parallel path.
 //
 // Admission control: every stream has a bounded queue (queue_limit slots)
 // and the engine an optional global bound. A full queue is resolved by the
@@ -64,7 +65,7 @@
 #include "slic/instrumentation.h"
 #include "slic/iteration_scratch.h"
 #include "slic/slic_baseline.h"
-#include "slic/subsampled.h"
+#include "slic/temporal.h"
 #include "slic/types.h"
 
 namespace sslic::engine {
@@ -161,6 +162,7 @@ struct StreamOptions {
   bool temporal_warm = true;
   /// Iteration budget for warm frames; 0 picks the TemporalSlic default
   /// (half the cold budget, at least one full subset round-robin).
+  /// open_stream() rejects a negative value (PPA streams).
   int warm_iterations = 0;
   /// Bounded admission queue depth (>= 1), the frame in flight included.
   std::size_t queue_limit = 4;
@@ -224,7 +226,8 @@ class StreamEngine {
   StreamEngine& operator=(const StreamEngine&) = delete;
 
   /// Opens a stream and allocates its queue slots + warm state. May
-  /// allocate freely (open is not steady state).
+  /// allocate freely (open is not steady state). Throws ContractViolation
+  /// on invalid options (including a negative PPA warm_iterations).
   [[nodiscard]] StreamId open_stream(StreamOptions options);
 
   /// Drains the stream's queued frames (completions still fire), then
@@ -250,8 +253,10 @@ class StreamEngine {
   /// completion callback instead). Null before the first completion.
   [[nodiscard]] const Segmentation* last_result(StreamId id) const;
 
-  /// Drops the stream's warm centers; the next frame cold-starts (scene
-  /// cut). Takes effect for frames submitted after the call.
+  /// Scene cut: the first frame submitted after the call cold-starts, even
+  /// while frames submitted before it are still queued (those stay warm).
+  /// If drop-oldest evicts that frame, the next admitted frame carries the
+  /// cut instead.
   void reset_stream(StreamId id);
 
   /// Scheduler gate for deterministic tests: while paused, admitted frames
@@ -275,6 +280,10 @@ class StreamEngine {
     double enter_ms = 0.0;   ///< submit() entry (admit wait = submit - enter)
     double submit_ms = 0.0;  ///< engine-clock timestamp of admission
     bool ready = false;      ///< pixels fully copied in
+    /// First frame admitted after reset_stream(): cold-start it. Never
+    /// written while the slot is in flight (drop-oldest hands the cut only
+    /// to frames queued behind the evicted one).
+    bool scene_cut = false;
   };
 
   struct Stream {
@@ -308,19 +317,20 @@ class StreamEngine {
     std::vector<std::uint64_t> dropped_ring;
     std::size_t dropped_ring_next = 0;
 
-    // Warm per-stream segmentation state (the TemporalSlic contract).
+    /// reset_stream() was called and no frame has been admitted since; the
+    /// next admission takes the cut (Slot::scene_cut).
+    bool reset_pending = false;
+
+    // Per-stream segmentation state: a TemporalSlic (PPA) or a CpaSlic with
+    // its working buffers (CPA).
+    std::optional<TemporalSlic> temporal;
     std::optional<CpaSlic> cpa;
-    std::optional<PpaSlic> ppa_cold;
-    std::optional<PpaSlic> ppa_warm;
-    std::vector<ClusterCenter> previous_centers;
-    bool reset_requested = false;
-    int state_width = 0;
-    int state_height = 0;
     LabImage lab;
     Segmentation result;
-    Instrumentation instr;
     IterationScratch scratch;
-    bool has_result = false;
+    Instrumentation instr;
+    /// Latest completed segmentation (null before the first completion).
+    const Segmentation* last = nullptr;
 
     // Telemetry, resolved at open (registry lookups allocate).
     telemetry::Histogram* latency_ms = nullptr;
@@ -340,7 +350,7 @@ class StreamEngine {
     double form_ms = 0.0;       ///< batch formation begin (wide-event stage)
     double seg_begin_ms = 0.0;  ///< written by the worker in process_frame
     double seg_end_ms = 0.0;    ///< ditto (pool join orders it before reads)
-    bool warm = false;          ///< frame took the warm-start path
+    const Segmentation* segmentation = nullptr;  ///< ditto
   };
 
   /// Callback invocation staged while the engine lock is held, run after

@@ -8,14 +8,6 @@
 //                             over a row segment of its 2Sx2S window.
 //   * assign_candidates_row   PPA: best-of-9-candidates per pixel over a
 //                             tile row, with the round-robin subset mask.
-//                             Also the cluster-centric CPA span kernel for
-//                             full SLIC (running min seeded from infinity).
-//   * assign_candidates_row_seeded  Cluster-centric CPA for the subsampled
-//                             variant: the running min is seeded from the
-//                             persistent min-distance plane, so each
-//                             covering center applies the same strict-<
-//                             update the row-sweep performs — but held in
-//                             registers across the whole candidate list.
 //   * assign_candidates_row_u8  The 8-bit integer datapath variant of the
 //                             same (HwSlic golden model).
 //   * accumulate_row          Fused-iteration sigma accumulation: scatters
@@ -95,21 +87,6 @@ struct KernelTable {
                                 double spatial_weight,
                                 const std::uint8_t* active, double* min_dist,
                                 std::int32_t* labels);
-
-  /// Seeded best-of-candidates (cluster-centric subsampled CPA): like
-  /// assign_candidates_row, but the running minimum starts from the
-  /// existing (min_dist[i], labels[i]) pair instead of infinity, and both
-  /// are stored back unconditionally. Ties keep the seed (strict `<`), so
-  /// one call over an ascending candidate list produces exactly the bytes
-  /// the row-sweep kernel leaves after visiting the same centers one by
-  /// one. `ncand` must be >= 1.
-  void (*assign_candidates_row_seeded)(const float* L, const float* a,
-                                       const float* b, std::int32_t x0,
-                                       std::int32_t count, double y,
-                                       const CenterOperand* cands,
-                                       std::int32_t ncand,
-                                       double spatial_weight, double* min_dist,
-                                       std::int32_t* labels);
 
   /// 8-bit integer datapath best-of-candidates (HwSlic::integer_distance
   /// followed by HwSlic::quantize_distance when dist_bits != 0); stores

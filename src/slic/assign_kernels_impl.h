@@ -188,60 +188,6 @@ void assign_candidates_row_impl(const float* L, const float* a, const float* b,
   }
 }
 
-// Cluster-centric CPA span kernel: identical distance arithmetic and
-// candidate order as assign_candidates_row_impl, but the running minimum
-// is seeded from the persistent (min_dist, labels) pair and written back
-// unconditionally. Seeding from memory instead of infinity reproduces the
-// exact strict-< update chain of repeated assign_center_row calls over the
-// same ascending candidate list — the seed wins ties, later candidates
-// must be strictly smaller — while touching each plane entry once.
-template <typename B>
-void assign_candidates_row_seeded_impl(const float* L, const float* a,
-                                       const float* b, std::int32_t x0,
-                                       std::int32_t count, double y,
-                                       const CenterOperand* cands,
-                                       std::int32_t ncand,
-                                       double spatial_weight, double* min_dist,
-                                       std::int32_t* labels) {
-  constexpr std::int32_t kL = B::kLanesF64;
-  const auto w = B::set1_f64(spatial_weight);
-  const auto yv = B::set1_f64(y);
-
-  std::int32_t i = 0;
-  for (; i + kL <= count; i += kL) {
-    const auto pl = B::load_f32(L + i);
-    const auto pa = B::load_f32(a + i);
-    const auto pb = B::load_f32(b + i);
-    const auto xv = B::iota_f64(static_cast<double>(x0 + i));
-    auto best = B::loadu_f64(min_dist + i);
-    auto best_idx = B::loadu_lab(labels + i);
-    for (std::int32_t k = 0; k < ncand; ++k) {
-      const CenterOperand& c = cands[k];
-      const auto dl = B::sub(pl, B::set1_f64(c.L));
-      const auto da = B::sub(pa, B::set1_f64(c.a));
-      const auto db = B::sub(pb, B::set1_f64(c.b));
-      const auto dx = B::sub(xv, B::set1_f64(c.x));
-      const auto dy = B::sub(yv, B::set1_f64(c.y));
-      const auto dc2 =
-          B::add(B::add(B::mul(dl, dl), B::mul(da, da)), B::mul(db, db));
-      const auto ds2 = B::add(B::mul(dx, dx), B::mul(dy, dy));
-      const auto d = B::add(dc2, B::mul(w, ds2));
-      const auto m = B::cmplt_f64(d, best);
-      best = B::select_f64(m, d, best);
-      best_idx = B::select_lab(m, B::set1_lab(c.index), best_idx);
-    }
-    B::storeu_f64(min_dist + i, best);
-    B::storeu_lab(labels + i, best_idx);
-  }
-  if constexpr (kL > 1) {
-    if (i < count) {
-      assign_candidates_row_seeded_impl<ScalarBackend>(
-          L + i, a + i, b + i, x0 + i, count - i, y, cands, ncand,
-          spatial_weight, min_dist + i, labels + i);
-    }
-  }
-}
-
 template <typename B>
 void assign_candidates_row_u8_impl(
     const std::uint8_t* L, const std::uint8_t* a, const std::uint8_t* b,
@@ -365,7 +311,6 @@ void accumulate_row_impl(const float* L, const float* a, const float* b,
 template <typename B>
 KernelTable make_table() {
   return KernelTable{&assign_center_row_impl<B>, &assign_candidates_row_impl<B>,
-                     &assign_candidates_row_seeded_impl<B>,
                      &assign_candidates_row_u8_impl<B>, &accumulate_row_impl<B>};
 }
 

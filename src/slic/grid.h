@@ -58,8 +58,8 @@ std::vector<ClusterCenter> seed_centers(const CenterGrid& grid,
 
 /// In-place variant: fills `centers` (resized to the grid's center count)
 /// and uses `gradient_scratch` for the perturbation pass, so per-frame
-/// callers (BatchSegmenter, TemporalSlic cold starts) re-seed without heap
-/// allocations once the buffers are warm.
+/// callers (CPA engine streams, TemporalSlic cold starts) re-seed without
+/// heap allocations once the buffers are warm.
 void seed_centers(const CenterGrid& grid, const LabImage& lab,
                   bool perturb_to_gradient_minimum,
                   std::vector<ClusterCenter>& centers,

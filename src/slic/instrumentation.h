@@ -119,6 +119,9 @@ struct Instrumentation {
   /// paper-model tables (Table 1/2, abstract claims) pin fusion off so
   /// their analytic numbers keep the paper's unfused convention.
   bool fused = false;
+  /// True when the run started from the caller's centers (PpaSlic's
+  /// temporal warm start) instead of grid seeding.
+  bool warm = false;
 
   /// Per-iteration averages (0 when no iteration ran).
   [[nodiscard]] double distance_ops_per_iteration() const {

@@ -20,7 +20,6 @@
 
 #include "image/image.h"
 #include "image/planar.h"
-#include "slic/assign_kernels.h"
 #include "slic/center_update.h"
 #include "slic/connectivity.h"
 #include "slic/grid.h"
@@ -40,42 +39,6 @@ struct ScanWindow {
   }
 };
 
-/// Per-band working set of the cluster-centric CPA schedule (DESIGN.md
-/// §4g): block candidate gathers, per-row span partitioning, and the
-/// deterministic traffic tallies the instrumentation sums in ascending
-/// band order after the sweep. One instance per row band — bands run on
-/// different workers, so nothing here is shared.
-struct ClusterBandScratch {
-  /// Centers whose windows intersect the current block, ascending index.
-  std::vector<std::int32_t> block_cands;
-  /// Kernel operands of block_cands (built once per block).
-  std::vector<kernels::CenterOperand> block_ops;
-  /// Per-row covering candidates: index into block_ops + clamped x-range.
-  struct RowCand {
-    std::int32_t op = 0;
-    std::int32_t xa = 0;
-    std::int32_t xb = 0;
-  };
-  std::vector<RowCand> row_cands;
-  std::vector<std::int32_t> ybounds;  ///< y-run breakpoints of the block
-  std::vector<std::int32_t> bounds;   ///< span breakpoints of the y-run
-  /// One span of a y-run: constant covering set, operands pre-gathered
-  /// into the flat span_ops pool (so the per-row loop is kernel calls
-  /// only).
-  struct Span {
-    std::int32_t x0 = 0;
-    std::int32_t x1 = 0;        ///< exclusive
-    std::int32_t ops_begin = 0; ///< offset into span_ops
-    std::int32_t ncand = 0;
-  };
-  std::vector<Span> spans;
-  std::vector<kernels::CenterOperand> span_ops;  ///< flat per-span operand pool
-  // Tallies for the honest cluster-mode traffic accounting; integer sums,
-  // so the post-sweep ascending merge is order-independent and exact.
-  std::uint64_t covered_pixels = 0;  ///< pixels with >= 1 covering center
-  std::uint64_t center_loads = 0;    ///< block-candidate operand gathers
-};
-
 /// Working buffers of one segmentation run; see the header comment.
 struct IterationScratch {
   // --- Shared by CPA and PPA ---
@@ -92,12 +55,6 @@ struct IterationScratch {
   /// band order after the band sweep (same reduction tree as the two-pass
   /// parallel_reduce, so centers match it bit for bit).
   std::vector<std::vector<Sigma>> band_sigmas;
-  /// Cluster-centric schedule: per-grid-column buckets of the active
-  /// centers whose windows x-intersect the column (rebuilt each iteration
-  /// in the serial prelude; ascending center index by construction).
-  std::vector<std::vector<std::int32_t>> column_buckets;
-  /// Cluster-centric schedule: per-band block/span working set.
-  std::vector<ClusterBandScratch> cluster_bands;
 
   // --- PPA (subsampled.cpp) ---
   LabImage stored;  ///< quantized image copy (data widths below float only)
@@ -117,14 +74,6 @@ struct IterationScratch {
     if (band_sigmas.size() != bands) band_sigmas.resize(bands);
     for (auto& pool : band_sigmas)
       if (pool.size() != num_centers) pool.resize(num_centers);
-  }
-
-  /// Sizes the cluster-centric working set (buckets and per-band scratch).
-  /// Contents are rebuilt every iteration; this only shapes the outer
-  /// vectors so steady-state frames allocate nothing new.
-  void ensure_cluster_scratch(std::size_t columns, std::size_t bands) {
-    if (column_buckets.size() != columns) column_buckets.resize(columns);
-    if (cluster_bands.size() != bands) cluster_bands.resize(bands);
   }
 
   /// Rebuilds the candidate map only when the grid geometry changed.

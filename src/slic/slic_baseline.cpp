@@ -1,19 +1,16 @@
 #include "slic/slic_baseline.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <vector>
 
 #include "common/check.h"
 #include "common/perf_counters.h"
-#include "common/telemetry.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "image/planar.h"
 #include "slic/assign_kernels.h"
-#include "slic/assign_strategy.h"
 #include "slic/center_update.h"
 #include "slic/connectivity.h"
 #include "slic/distance.h"
@@ -135,31 +132,8 @@ void CpaSlic::segment_lab_into(const LabImage& lab, Segmentation& result,
   // fetched once — dispatch never runs inside the pixel loops.
   split_lab_planes(lab, scratch.planes);
   const LabPlanes& planes = scratch.planes;
-  const simd::Isa kernel_isa = kernels::active_isa();
-  const kernels::KernelTable& kt = kernels::table_for(kernel_isa);
+  const kernels::KernelTable& kt = kernels::active();
   const double spatial_weight = dist.spatial_weight();
-
-  // Assignment schedule (DESIGN.md §4g): the original row sweep or the
-  // cluster-centric block schedule. Both are bit-identical; the choice is
-  // purely a performance decision resolved once per run.
-  const AssignStrategy strategy =
-      resolve_assign_strategy(kernel_isa, num_centers, w, h);
-  const bool use_cluster = strategy == AssignStrategy::kCluster;
-  // Change-only publication: the registry lookup allocates a string key,
-  // which would break the zero-allocation steady state of per-frame
-  // callers (TemporalSlic, BatchSegmenter).
-  static std::atomic<int> last_published_strategy{-1};
-  const int strategy_value = static_cast<int>(strategy);
-  if (last_published_strategy.exchange(strategy_value,
-                                       std::memory_order_relaxed) !=
-      strategy_value) {
-    telemetry::MetricsRegistry::global()
-        .gauge("sslic.assign.strategy")
-        .set(static_cast<double>(strategy_value));
-  }
-  const int ncols = grid.nx();
-  if (use_cluster)
-    scratch.ensure_cluster_scratch(static_cast<std::size_t>(ncols), bands);
   if (phases != nullptr) phases->add(kPhaseOther, init_watch.elapsed_ms());
   init_span.complete("cpa.init");
   init_perf.complete("cpa.init");
@@ -178,14 +152,10 @@ void CpaSlic::segment_lab_into(const LabImage& lab, Segmentation& result,
     Stopwatch assign_watch;
     trace::Interval assign_span;
     perf::IntervalSample iter_perf;
-    if (!subsampled && !use_cluster) {
+    if (!subsampled) {
       // Full SLIC resets the minimum-distance plane every iteration. The
       // fused path folds the reset into each band's sweep (same writes,
-      // one less full-image pass); the traffic charge is identical. The
-      // cluster schedule skips the reset entirely: its span kernel starts
-      // each covered pixel's running min from infinity in registers and
-      // stores unconditionally, and uncovered pixels never read min_dist —
-      // the plane is dead scratch between cluster iterations.
+      // one less full-image pass); the traffic charge is identical.
       if (!fused) {
         parallel_for(0, static_cast<std::int64_t>(n),
                      [&](std::int64_t lo, std::int64_t hi) {
@@ -223,39 +193,13 @@ void CpaSlic::segment_lab_into(const LabImage& lab, Segmentation& result,
       instr.ops.distance_evals += wpix;
       instr.ops.compare_ops += wpix;
       stats.pixels_visited += wpix;
-      if (!use_cluster) {
-        // Row-sweep traffic: every covering window streams the pixel's Lab,
-        // distance, and label entries again. The cluster schedule touches
-        // each covered pixel once, so its traffic is tallied from the
-        // per-band counters after the sweep instead (ops are schedule-
-        // invariant — same distances, same compares — and stay here).
-        instr.traffic.center_read += MemTraffic::kCenterBytes;
-        instr.traffic.image_read += wpix * MemTraffic::kLabBytes;
-        instr.traffic.distance_read += wpix * MemTraffic::kDistanceBytes;
-        instr.traffic.distance_write += wpix * MemTraffic::kDistanceBytes;
-        instr.traffic.label_write += wpix * MemTraffic::kLabelBytes;
-      }
-    }
-
-    // Cluster schedule: bucket the active centers by the grid columns their
-    // windows x-intersect, in ascending center order (serial loop over an
-    // ascending index — every block later drains its bucket in that order,
-    // which is what makes the per-pixel visit order match the row sweep).
-    // Column g spans [ceil(g*w/ncols), ceil((g+1)*w/ncols)), the partition
-    // whose containing-column formula is x*ncols/w.
-    if (use_cluster) {
-      for (auto& bucket : scratch.column_buckets) bucket.clear();
-      for (std::size_t ci = 0; ci < result.centers.size(); ++ci) {
-        if (active[ci] == 0) continue;
-        const ScanWindow& win = windows[ci];
-        const int g0 =
-            static_cast<int>(static_cast<std::int64_t>(win.x0) * ncols / w);
-        const int g1 =
-            static_cast<int>(static_cast<std::int64_t>(win.x1) * ncols / w);
-        for (int g = g0; g <= g1; ++g)
-          scratch.column_buckets[static_cast<std::size_t>(g)].push_back(
-              static_cast<std::int32_t>(ci));
-      }
+      // Every covering window streams the pixel's Lab, distance, and label
+      // entries again.
+      instr.traffic.center_read += MemTraffic::kCenterBytes;
+      instr.traffic.image_read += wpix * MemTraffic::kLabBytes;
+      instr.traffic.distance_read += wpix * MemTraffic::kDistanceBytes;
+      instr.traffic.distance_write += wpix * MemTraffic::kDistanceBytes;
+      instr.traffic.label_write += wpix * MemTraffic::kLabelBytes;
     }
 
     // Row-band tiling: each band owns a disjoint range of rows and scans
@@ -292,161 +236,12 @@ void CpaSlic::segment_lab_into(const LabImage& lab, Segmentation& result,
       }
     };
 
-    // Cluster-centric band sweep (DESIGN.md §4g): each grid-column x band
-    // block gathers its candidate centers once (registers/L1-resident for
-    // the whole block), then partitions every row into spans whose covering
-    // set is constant and resolves each span with one best-of-candidates
-    // kernel call. Per pixel the candidates are exactly the centers whose
-    // clamped windows contain it, drained in ascending index order with the
-    // same strict-< IEEE arithmetic and the same starting value the row
-    // sweep uses (infinity for full SLIC, the persistent seed for the
-    // subsampled variant) — so labels and min-distances are bit-identical
-    // to scan_band while each pixel's Lab/distance/label entries move
-    // through the core exactly once.
-    const auto cluster_scan_band = [&](std::size_t band, int ylo, int yhi) {
-      ClusterBandScratch& cbs = scratch.cluster_bands[band];
-      cbs.covered_pixels = 0;
-      cbs.center_loads = 0;
-      for (int gx = 0; gx < ncols; ++gx) {
-        const int bx0 = static_cast<int>(
-            (static_cast<std::int64_t>(gx) * w + ncols - 1) / ncols);
-        const int bx1 = static_cast<int>(
-            (static_cast<std::int64_t>(gx + 1) * w + ncols - 1) / ncols);
-        if (bx0 >= bx1) continue;
-        // Candidates of this (column, band) block, ascending center index.
-        cbs.block_cands.clear();
-        cbs.block_ops.clear();
-        for (const std::int32_t ci :
-             scratch.column_buckets[static_cast<std::size_t>(gx)]) {
-          const ScanWindow& win = windows[static_cast<std::size_t>(ci)];
-          if (win.y1 < ylo || win.y0 >= yhi) continue;
-          const ClusterCenter& c = result.centers[static_cast<std::size_t>(ci)];
-          cbs.block_cands.push_back(ci);
-          cbs.block_ops.push_back(
-              kernels::CenterOperand{c.L, c.a, c.b, c.x, c.y, ci});
-        }
-        if (cbs.block_cands.empty()) continue;
-        cbs.center_loads += cbs.block_ops.size();
-        SSLIC_TRACE_SCOPE_AT(1, "cpa.cluster.block",
-                             static_cast<std::int64_t>(gx));
-        // Y-runs: between consecutive window y-edges no candidate starts
-        // or ends, so the whole row span structure (covering sets, span
-        // breakpoints, gathered operands) is constant and built once per
-        // run — the per-row loop below is kernel calls only.
-        cbs.ybounds.clear();
-        cbs.ybounds.push_back(ylo);
-        cbs.ybounds.push_back(yhi);
-        for (const std::int32_t ci : cbs.block_cands) {
-          const ScanWindow& win = windows[static_cast<std::size_t>(ci)];
-          if (win.y0 > ylo && win.y0 < yhi) cbs.ybounds.push_back(win.y0);
-          if (win.y1 + 1 > ylo && win.y1 + 1 < yhi)
-            cbs.ybounds.push_back(win.y1 + 1);
-        }
-        std::sort(cbs.ybounds.begin(), cbs.ybounds.end());
-        cbs.ybounds.erase(std::unique(cbs.ybounds.begin(), cbs.ybounds.end()),
-                          cbs.ybounds.end());
-        for (std::size_t r = 0; r + 1 < cbs.ybounds.size(); ++r) {
-          const int ya = cbs.ybounds[r];
-          const int yb = cbs.ybounds[r + 1];
-          // Covering candidates of the run (tested at ya; constant through
-          // the run by construction), windows clamped to the block.
-          cbs.row_cands.clear();
-          for (std::size_t k = 0; k < cbs.block_cands.size(); ++k) {
-            const ScanWindow& win =
-                windows[static_cast<std::size_t>(cbs.block_cands[k])];
-            if (ya < win.y0 || ya > win.y1) continue;
-            const std::int32_t xa = std::max(win.x0, bx0);
-            const std::int32_t xb = std::min(win.x1, bx1 - 1);
-            if (xa > xb) continue;
-            cbs.row_cands.push_back({static_cast<std::int32_t>(k), xa, xb});
-          }
-          if (cbs.row_cands.empty()) continue;
-          // Split the run at every candidate x-edge: between consecutive
-          // breakpoints the covering set is constant, so each span is one
-          // kernel call per row. Candidate counts are <= 9 in practice,
-          // so the sort touches a handful of entries.
-          cbs.bounds.clear();
-          for (const auto& rc : cbs.row_cands) {
-            cbs.bounds.push_back(rc.xa);
-            cbs.bounds.push_back(rc.xb + 1);
-          }
-          std::sort(cbs.bounds.begin(), cbs.bounds.end());
-          cbs.bounds.erase(std::unique(cbs.bounds.begin(), cbs.bounds.end()),
-                           cbs.bounds.end());
-          // Pre-gather each span's operands (ascending center index: the
-          // row_cands order) into the flat pool.
-          cbs.spans.clear();
-          cbs.span_ops.clear();
-          std::uint64_t row_covered = 0;
-          for (std::size_t s = 0; s + 1 < cbs.bounds.size(); ++s) {
-            const std::int32_t s0 = cbs.bounds[s];
-            const std::int32_t s1 = cbs.bounds[s + 1];
-            const auto ops_begin =
-                static_cast<std::int32_t>(cbs.span_ops.size());
-            for (const auto& rc : cbs.row_cands) {
-              if (rc.xa <= s0 && rc.xb >= s1 - 1)
-                cbs.span_ops.push_back(
-                    cbs.block_ops[static_cast<std::size_t>(rc.op)]);
-            }
-            const auto ncand =
-                static_cast<std::int32_t>(cbs.span_ops.size()) - ops_begin;
-            if (ncand == 0) continue;  // gap between disjoint windows
-            cbs.spans.push_back({s0, s1, ops_begin, ncand});
-            row_covered += static_cast<std::uint64_t>(s1 - s0);
-          }
-          cbs.covered_pixels += row_covered * static_cast<std::uint64_t>(yb - ya);
-          for (int y = ya; y < yb; ++y) {
-            SSLIC_TRACE_SCOPE_AT(2, "cpa.cluster.row", y);
-            for (const auto& sp : cbs.spans) {
-              const std::size_t off =
-                  static_cast<std::size_t>(y) * static_cast<std::size_t>(w) +
-                  static_cast<std::size_t>(sp.x0);
-              if (subsampled) {
-                kt.assign_candidates_row_seeded(
-                    planes.L.data() + off, planes.a.data() + off,
-                    planes.b.data() + off, sp.x0, sp.x1 - sp.x0,
-                    static_cast<double>(y),
-                    cbs.span_ops.data() + sp.ops_begin, sp.ncand,
-                    spatial_weight, min_dist.data() + off, labels_ptr + off);
-              } else {
-                kt.assign_candidates_row(
-                    planes.L.data() + off, planes.a.data() + off,
-                    planes.b.data() + off, sp.x0, sp.x1 - sp.x0,
-                    static_cast<double>(y),
-                    cbs.span_ops.data() + sp.ops_begin, sp.ncand,
-                    spatial_weight, nullptr, min_dist.data() + off,
-                    labels_ptr + off);
-              }
-            }
-          }
-        }
-      }
-    };
-
     bool fused_sigmas_merged = false;
-    if (!fused && !use_cluster) {
+    if (!fused) {
       parallel_for(0, h, [&](std::int64_t ylo, std::int64_t yhi) {
         SSLIC_TRACE_SCOPE("cpa.assign.band", ylo);
         scan_band(static_cast<int>(ylo), static_cast<int>(yhi));
       });
-    } else if (!fused) {
-      // Two-pass cluster sweep: banded dispatch (the cluster scratch and
-      // tallies are per band), same fixed band budget as the fused path.
-      // Labels are band-partition-invariant, so this matches the
-      // parallel_for row split bit for bit.
-      const auto band_assign = [&](std::size_t band) {
-        const auto [blo, bhi] = detail::chunk_bounds(0, h, bands, band);
-        if (blo >= bhi) return;
-        SSLIC_TRACE_SCOPE("cpa.assign.band", blo);
-        cluster_scan_band(band, static_cast<int>(blo), static_cast<int>(bhi));
-      };
-      ThreadPool& pool = ThreadPool::global();
-      if (pool.threads() <= 1 || bands <= 1 ||
-          ThreadPool::in_parallel_region()) {
-        for (std::size_t band = 0; band < bands; ++band) band_assign(band);
-      } else {
-        pool.run_chunks(bands, band_assign);
-      }
     } else {
       // Fused band sweep: reset (full SLIC), assign, then immediately
       // accumulate this band's sigma partials — after the ascending-index
@@ -459,18 +254,14 @@ void CpaSlic::segment_lab_into(const LabImage& lab, Segmentation& result,
         SSLIC_TRACE_SCOPE("cpa.assign.band", blo);
         const int ylo = static_cast<int>(blo);
         const int yhi = static_cast<int>(bhi);
-        if (!subsampled && !use_cluster) {
+        if (!subsampled) {
           const auto begin = static_cast<std::size_t>(ylo) * static_cast<std::size_t>(w);
           const auto end = static_cast<std::size_t>(yhi) * static_cast<std::size_t>(w);
           std::fill(min_dist.begin() + static_cast<std::ptrdiff_t>(begin),
                     min_dist.begin() + static_cast<std::ptrdiff_t>(end),
                     std::numeric_limits<double>::infinity());
         }
-        if (use_cluster) {
-          cluster_scan_band(band, ylo, yhi);
-        } else {
-          scan_band(ylo, yhi);
-        }
+        scan_band(ylo, yhi);
         SSLIC_TRACE_SCOPE_AT(1, "cpa.band_accumulate",
                              static_cast<std::int64_t>(band));
         pool.assign(num_centers_z, Sigma{});
@@ -506,28 +297,6 @@ void CpaSlic::segment_lab_into(const LabImage& lab, Segmentation& result,
         pool.run_chunks(bands, [&](std::size_t band) {
           band_body(band, scratch.band_sigmas[band]);
         });
-      }
-    }
-    if (use_cluster) {
-      // Honest cluster-mode traffic: integer per-band tallies summed in
-      // ascending band order (exact and partition-independent). Each
-      // covered pixel streams its Lab in and its label + distance out
-      // once; center operands are re-gathered per block.
-      std::uint64_t covered = 0;
-      std::uint64_t center_loads = 0;
-      for (std::size_t band = 0; band < bands; ++band) {
-        covered += scratch.cluster_bands[band].covered_pixels;
-        center_loads += scratch.cluster_bands[band].center_loads;
-      }
-      instr.traffic.center_read += center_loads * MemTraffic::kCenterBytes;
-      instr.traffic.image_read += covered * MemTraffic::kLabBytes;
-      instr.traffic.label_write += covered * MemTraffic::kLabelBytes;
-      instr.traffic.distance_write += covered * MemTraffic::kDistanceBytes;
-      if (subsampled) {
-        // The seeded kernel also reads each covered pixel's persistent
-        // (distance, label) pair to seed the running minimum.
-        instr.traffic.distance_read += covered * MemTraffic::kDistanceBytes;
-        instr.traffic.label_read += covered * MemTraffic::kLabelBytes;
       }
     }
     if (phases != nullptr) phases->add(kPhaseDistanceMin, assign_watch.elapsed_ms());

@@ -98,6 +98,7 @@ void PpaSlic::segment_impl(const LabImage& lab,
   instr = Instrumentation{};
   const bool fused = fusion_enabled();
   instr.fused = fused;
+  instr.warm = warm_centers != nullptr;
 
   Stopwatch init_watch;
   const CenterGrid grid(w, h, params_.num_superpixels);

@@ -5,7 +5,6 @@
 #include "common/ops_server.h"
 #include "common/simd.h"
 #include "common/thread_pool.h"
-#include "slic/assign_strategy.h"
 #include "slic/fusion.h"
 
 namespace sslic::telemetry {
@@ -42,9 +41,7 @@ void export_instrumentation(const Instrumentation& instr,
 
 void register_slic_statusz() {
   ops::register_statusz_section("slic", [] {
-    std::string body = "{\"assign_strategy\": \"";
-    body += assign_strategy_name(assign_strategy());
-    body += "\", \"fusion\": ";
+    std::string body = "{\"fusion\": ";
     body += fusion_enabled() ? "true" : "false";
     body += ", \"kernel_isa\": \"";
     body += simd::isa_name(simd::preferred_isa());

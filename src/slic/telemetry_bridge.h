@@ -20,8 +20,8 @@ void export_instrumentation(const Instrumentation& instr,
                             const std::string& unit,
                             MetricsRegistry& registry = MetricsRegistry::global());
 
-/// Registers the "slic" /statusz section on the ops server (assign
-/// strategy, fusion, dispatched SIMD kernel, global pool geometry) — the
+/// Registers the "slic" /statusz section on the ops server (fusion,
+/// dispatched SIMD kernel, global pool geometry) — the
 /// ops server lives in src/common and cannot reach these itself. Idempotent;
 /// the provider samples live state on every /statusz request.
 void register_slic_statusz();

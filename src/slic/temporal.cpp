@@ -11,13 +11,22 @@
 
 namespace sslic {
 
+namespace {
+
+SlicParams with_warm_budget(SlicParams params, int warm_iterations) {
+  SSLIC_CHECK(warm_iterations >= 0);
+  params.max_iterations = warm_iterations > 0
+                              ? warm_iterations
+                              : TemporalSlic::default_warm_iterations(params);
+  return params;
+}
+
+}  // namespace
+
 TemporalSlic::TemporalSlic(SlicParams params, DataWidth data_width,
                            int warm_iterations)
-    : params_(params), data_width_(data_width), warm_iterations_(warm_iterations) {
-  SSLIC_CHECK(warm_iterations >= 0);
-  if (warm_iterations_ == 0)
-    warm_iterations_ = default_warm_iterations(params_);
-}
+    : cold_(params, data_width),
+      warm_(with_warm_budget(params, warm_iterations), data_width) {}
 
 int TemporalSlic::default_warm_iterations(const SlicParams& params) {
   const int subsets =
@@ -48,15 +57,11 @@ const Segmentation& TemporalSlic::next_frame(const RgbImage& frame,
   }
 
   if (can_warm) {
-    SlicParams warm_params = params_;
-    warm_params.max_iterations = warm_iterations_;
-    const PpaSlic segmenter(warm_params, data_width_);
-    segmenter.segment_lab_warm_into(lab_, previous_centers_, result_, scratch_,
-                                    {}, instrumentation, phases);
+    warm_.segment_lab_warm_into(lab_, previous_centers_, result_, scratch_, {},
+                                instrumentation, phases);
   } else {
-    const PpaSlic segmenter(params_, data_width_);
-    segmenter.segment_lab_into(lab_, result_, scratch_, {}, instrumentation,
-                               phases);
+    cold_.segment_lab_into(lab_, result_, scratch_, {}, instrumentation,
+                           phases);
   }
 
   // Same center count in steady state: copy-assign reuses the storage.

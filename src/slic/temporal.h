@@ -26,7 +26,8 @@ class TemporalSlic {
  public:
   /// `warm_iterations` is the (smaller) iteration budget used when warm
   /// state is available; 0 picks half the cold budget (at least one full
-  /// round-robin of the subsets).
+  /// round-robin of the subsets). Invalid params or a negative
+  /// `warm_iterations` throw ContractViolation here, not at the first frame.
   explicit TemporalSlic(SlicParams params,
                         DataWidth data_width = DataWidth::float64(),
                         int warm_iterations = 0);
@@ -40,23 +41,26 @@ class TemporalSlic {
 
   /// The warm iteration budget a 0 `warm_iterations` resolves to: half the
   /// cold budget, at least one full round-robin of the subsets. Exposed so
-  /// other warm-start drivers (engine::StreamEngine) match this segmenter
-  /// byte for byte.
+  /// stage-by-stage replays of a stream (perfbench/traced.cpp) match this
+  /// segmenter byte for byte.
   [[nodiscard]] static int default_warm_iterations(const SlicParams& params);
 
   /// Drops the warm state (call at scene cuts).
   void reset() { previous_centers_.clear(); }
 
-  /// True when the next frame will be warm-started.
+  /// True when the previous frame's centers are held. The next frame
+  /// warm-starts from them only if it has the same resolution as that
+  /// frame; a geometry change still cold-starts.
   [[nodiscard]] bool has_state() const { return !previous_centers_.empty(); }
 
-  [[nodiscard]] const SlicParams& params() const { return params_; }
-  [[nodiscard]] int warm_iterations() const { return warm_iterations_; }
+  [[nodiscard]] const SlicParams& params() const { return cold_.params(); }
+  [[nodiscard]] int warm_iterations() const {
+    return warm_.params().max_iterations;
+  }
 
  private:
-  SlicParams params_;
-  DataWidth data_width_;
-  int warm_iterations_;
+  PpaSlic cold_;  ///< full iteration budget, grid-seeded
+  PpaSlic warm_;  ///< warm budget, seeded from previous_centers_
   int state_width_ = 0;
   int state_height_ = 0;
   std::vector<ClusterCenter> previous_centers_;

@@ -33,10 +33,9 @@
 //     enforce_connectivity_span over the raw label plane (a global relabel
 //     table, never a second full-image materialization).
 //
-// The driver ignores SSLIC_FUSE and SSLIC_ASSIGN: its pass structure is
-// fixed (assignment sweep + exact-order accumulation), and both runtime
-// toggles are bit-identical output transforms, so tiled output matches the
-// monolithic path under every combination. Instrumentation uses the
+// The driver ignores SSLIC_FUSE: its pass structure is fixed (assignment
+// sweep + exact-order accumulation), and fusion is a bit-identical output
+// transform, so tiled output matches the monolithic path either way. Instrumentation uses the
 // two-pass accounting convention (instr.fused = false). The PPA path is
 // float64-only (the bit-width exploration stays on the in-memory path).
 #pragma once
@@ -100,7 +99,7 @@ bool parse_tile_spec(const std::string& text, int* tile_width, int* tile_height)
 /// Applies the SSLIC_TILE environment variable ("WxH" or "auto") to
 /// `config`. Returns true when the environment requested tiling; warns once
 /// per process (and returns false) on an unparsable value, mirroring the
-/// SSLIC_ASSIGN / SSLIC_SIMD convention.
+/// SSLIC_SIMD convention.
 bool tile_config_from_env(TiledConfig* config);
 
 /// Row producer for the streaming entry: fill one row of the three Lab

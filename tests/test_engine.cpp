@@ -2,15 +2,18 @@
 //
 //  - per-stream byte-identity: frames interleaved across K streams through
 //    the engine produce labels and centers byte-identical to K independent
-//    sequential TemporalSlic runs, across fusion x assign strategy x
-//    thread counts (the engine-level face of the determinism contract).
+//    sequential TemporalSlic runs (CPA streams: plain CpaSlic calls),
+//    across fusion x thread counts (the engine-level face of the
+//    determinism contract).
+//  - scene cuts: reset_stream() applies in submission order and survives
+//    drop-oldest evicting the frame that carried it.
 //  - zero-allocation steady state across all active streams, proven by a
 //    counting global operator new installed in this binary.
 //  - admission control: shed rejects at the bound, drop-oldest evicts the
 //    oldest queued (never in-flight) frame and keeps the surviving chain
 //    byte-identical, block backpressures the producer until space frees.
-//  - ops plane: per-instance metric names (two engines, and two
-//    BatchSegmenters, never alias) and the /statusz engine section.
+//  - ops plane: per-instance metric names (two engines never alias) and
+//    the /statusz engine section.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,13 +24,12 @@
 #include <vector>
 
 #include "common/alloc_counter.h"
+#include "common/check.h"
 #include "common/ops_server.h"
 #include "common/telemetry.h"
 #include "common/thread_pool.h"
 #include "dataset/synthetic.h"
 #include "engine/engine.h"
-#include "slic/assign_strategy.h"
-#include "slic/batch.h"
 #include "slic/fusion.h"
 #include "slic/slic_baseline.h"
 #include "slic/temporal.h"
@@ -114,8 +116,8 @@ TEST(StreamEngine, SingleStreamMatchesTemporalSlic) {
 TEST(StreamEngine, InterleavedStreamsMatchIndependentSequentialRuns) {
   // Three streams with different params and geometries, frames submitted
   // interleaved (all K of frame f before any wait), across the fusion x
-  // assign-strategy x thread-count matrix. Each stream must match its own
-  // independent sequential TemporalSlic run byte for byte.
+  // thread-count matrix. Each stream must match its own independent
+  // sequential TemporalSlic run byte for byte.
   GlobalThreadsGuard threads_guard;
   struct StreamCase {
     SlicParams params;
@@ -132,78 +134,100 @@ TEST(StreamEngine, InterleavedStreamsMatchIndependentSequentialRuns) {
 
   for (const bool fused : {true, false}) {
     FusionGuard fusion_guard(fused);
-    for (const AssignStrategy strategy :
-         {AssignStrategy::kRow, AssignStrategy::kCluster}) {
-      AssignStrategyGuard strategy_guard(strategy);
-      for (const int threads : {1, 4}) {
-        ThreadPool::set_global_threads(threads);
-        const std::string what = std::string("fused=") +
-                                 (fused ? "1" : "0") + " strategy=" +
-                                 (strategy == AssignStrategy::kRow
-                                      ? "row"
-                                      : "cluster") +
-                                 " threads=" + std::to_string(threads);
+    for (const int threads : {1, 4}) {
+      ThreadPool::set_global_threads(threads);
+      const std::string what = std::string("fused=") + (fused ? "1" : "0") +
+                               " threads=" + std::to_string(threads);
 
-        std::vector<std::vector<RgbImage>> frames;
-        std::vector<TemporalSlic> references;
-        for (const StreamCase& c : cases) {
-          frames.push_back(
-              synthetic_frames(kFrames, c.width, c.height, c.seed));
-          references.emplace_back(c.params);
-        }
-
-        StreamEngine engine;
-        std::vector<StreamId> ids;
-        for (const StreamCase& c : cases) {
-          StreamOptions opts;
-          opts.params = c.params;
-          ids.push_back(engine.open_stream(opts));
-        }
-
-        for (std::size_t f = 0; f < kFrames; ++f) {
-          std::vector<FrameTicket> tickets;
-          for (std::size_t s = 0; s < cases.size(); ++s) {
-            const auto submitted = engine.submit(ids[s], frames[s][f]);
-            ASSERT_EQ(submitted.status, SubmitStatus::kAdmitted) << what;
-            tickets.push_back(submitted.ticket);
-          }
-          for (std::size_t s = 0; s < cases.size(); ++s) {
-            ASSERT_EQ(engine.wait(tickets[s]), WaitStatus::kCompleted)
-                << what;
-            const Segmentation& want = references[s].next_frame(frames[s][f]);
-            const Segmentation* got = engine.last_result(ids[s]);
-            ASSERT_NE(got, nullptr) << what;
-            expect_identical(*got, want,
-                             what + " stream=" + std::to_string(s) +
-                                 " frame=" + std::to_string(f));
-          }
-        }
-        for (const StreamId id : ids) engine.close_stream(id);
+      std::vector<std::vector<RgbImage>> frames;
+      std::vector<TemporalSlic> references;
+      for (const StreamCase& c : cases) {
+        frames.push_back(synthetic_frames(kFrames, c.width, c.height, c.seed));
+        references.emplace_back(c.params);
       }
+
+      StreamEngine engine;
+      std::vector<StreamId> ids;
+      for (const StreamCase& c : cases) {
+        StreamOptions opts;
+        opts.params = c.params;
+        ids.push_back(engine.open_stream(opts));
+      }
+
+      for (std::size_t f = 0; f < kFrames; ++f) {
+        std::vector<FrameTicket> tickets;
+        for (std::size_t s = 0; s < cases.size(); ++s) {
+          const auto submitted = engine.submit(ids[s], frames[s][f]);
+          ASSERT_EQ(submitted.status, SubmitStatus::kAdmitted) << what;
+          tickets.push_back(submitted.ticket);
+        }
+        for (std::size_t s = 0; s < cases.size(); ++s) {
+          ASSERT_EQ(engine.wait(tickets[s]), WaitStatus::kCompleted) << what;
+          const Segmentation& want = references[s].next_frame(frames[s][f]);
+          const Segmentation* got = engine.last_result(ids[s]);
+          ASSERT_NE(got, nullptr) << what;
+          expect_identical(*got, want,
+                           what + " stream=" + std::to_string(s) +
+                               " frame=" + std::to_string(f));
+        }
+      }
+      for (const StreamId id : ids) engine.close_stream(id);
     }
   }
 }
 
 TEST(StreamEngine, ColdCpaStreamMatchesSequentialCpa) {
+  // Several cold CPA streams per batch: with more than one pool thread the
+  // batch's frames are the pool chunks, so each CPA frame runs its serial
+  // path inside a worker. Every frame must still match a plain
+  // CpaSlic::segment call byte for byte, at every thread count.
+  GlobalThreadsGuard threads_guard;
   const SlicParams params = small_params();
-  const std::vector<RgbImage> frames = synthetic_frames(3, 160, 120, 500);
-
-  StreamEngine engine;
-  StreamOptions opts;
-  opts.params = params;
-  opts.algorithm = engine::StreamAlgorithm::kCpa;
-  opts.temporal_warm = false;
-  const StreamId id = engine.open_stream(opts);
-
+  constexpr std::size_t kStreams = 3;
+  constexpr std::size_t kFrames = 3;
   const CpaSlic reference(params);
-  for (std::size_t f = 0; f < frames.size(); ++f) {
-    const Segmentation want = reference.segment(frames[f]);
-    const auto submitted = engine.submit(id, frames[f]);
-    ASSERT_EQ(submitted.status, SubmitStatus::kAdmitted);
-    ASSERT_EQ(engine.wait(submitted.ticket), WaitStatus::kCompleted);
-    const Segmentation* got = engine.last_result(id);
-    ASSERT_NE(got, nullptr);
-    expect_identical(*got, want, "cpa frame " + std::to_string(f));
+  std::vector<std::vector<RgbImage>> frames;
+  std::vector<std::vector<Segmentation>> want(kStreams);
+  for (std::size_t s = 0; s < kStreams; ++s) {
+    frames.push_back(synthetic_frames(static_cast<int>(kFrames), 160, 120,
+                                      500 + 10 * s));
+    for (const RgbImage& frame : frames[s])
+      want[s].push_back(reference.segment(frame));
+  }
+
+  for (const int threads : {1, 3, 7}) {
+    ThreadPool::set_global_threads(threads);
+    StreamEngine engine;
+    std::vector<StreamId> ids;
+    for (std::size_t s = 0; s < kStreams; ++s) {
+      StreamOptions opts;
+      opts.params = params;
+      opts.algorithm = engine::StreamAlgorithm::kCpa;
+      opts.temporal_warm = false;
+      ids.push_back(engine.open_stream(opts));
+    }
+    for (std::size_t f = 0; f < kFrames; ++f) {
+      // Queue one frame per stream before the scheduler may form a batch,
+      // so every batch holds all the streams.
+      engine.pause();
+      std::vector<FrameTicket> tickets;
+      for (std::size_t s = 0; s < kStreams; ++s) {
+        const auto submitted = engine.submit(ids[s], frames[s][f]);
+        ASSERT_EQ(submitted.status, SubmitStatus::kAdmitted);
+        tickets.push_back(submitted.ticket);
+      }
+      engine.resume();
+      for (std::size_t s = 0; s < kStreams; ++s) {
+        ASSERT_EQ(engine.wait(tickets[s]), WaitStatus::kCompleted);
+        const Segmentation* got = engine.last_result(ids[s]);
+        ASSERT_NE(got, nullptr);
+        expect_identical(*got, want[s][f],
+                         "threads=" + std::to_string(threads) + " stream=" +
+                             std::to_string(s) + " frame=" +
+                             std::to_string(f));
+      }
+    }
+    EXPECT_EQ(engine.stats().batches, kFrames) << "threads=" << threads;
   }
 }
 
@@ -239,6 +263,104 @@ TEST(StreamEngine, ResetStreamColdStartsLikeTemporalReset) {
     ASSERT_NE(got, nullptr);
     expect_identical(*got, want, "post-reset frame " + std::to_string(f));
   }
+}
+
+TEST(StreamEngine, ResetStreamAppliesInSubmissionOrder) {
+  // A frame submitted before reset_stream() keeps its warm start even when
+  // it is still queued at the call; the first frame submitted after the
+  // call cold-starts.
+  const SlicParams params = small_params();
+  const std::vector<RgbImage> frames = synthetic_frames(3, 160, 120, 650);
+
+  std::vector<Segmentation> got;
+  StreamEngine engine;
+  StreamOptions opts;
+  opts.params = params;
+  opts.on_complete = [&](const FrameResult& result) {
+    if (!result.dropped) got.push_back(*result.segmentation);
+  };
+  const StreamId id = engine.open_stream(opts);
+
+  const auto first = engine.submit(id, frames[0]);
+  ASSERT_EQ(engine.wait(first.ticket), WaitStatus::kCompleted);
+  engine.pause();
+  ASSERT_EQ(engine.submit(id, frames[1]).status, SubmitStatus::kAdmitted);
+  engine.reset_stream(id);
+  ASSERT_EQ(engine.submit(id, frames[2]).status, SubmitStatus::kAdmitted);
+  engine.resume();
+  engine.drain();
+
+  TemporalSlic reference(params);
+  std::vector<Segmentation> want;
+  want.push_back(reference.next_frame(frames[0]));
+  want.push_back(reference.next_frame(frames[1]));
+  reference.reset();
+  want.push_back(reference.next_frame(frames[2]));
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t f = 0; f < want.size(); ++f)
+    expect_identical(got[f], want[f], "frame " + std::to_string(f));
+}
+
+TEST(StreamEngine, SceneCutSurvivesEvictionOfItsFrame) {
+  // Drop-oldest evicts the first frame submitted after reset_stream(); the
+  // cut moves to the next queued frame (queue_limit 2) or, with nothing
+  // queued behind it, to the next admission (queue_limit 1). Either way
+  // the first surviving post-reset frame cold-starts.
+  const SlicParams params = small_params();
+  const std::vector<RgbImage> frames = synthetic_frames(5, 160, 120, 660);
+  for (const std::size_t queue_limit : {std::size_t{1}, std::size_t{2}}) {
+    const std::string what = "queue_limit=" + std::to_string(queue_limit);
+    std::vector<Segmentation> got;
+    StreamEngine engine;
+    StreamOptions opts;
+    opts.params = params;
+    opts.queue_limit = queue_limit;
+    opts.policy = AdmissionPolicy::kDropOldest;
+    opts.on_complete = [&](const FrameResult& result) {
+      if (!result.dropped) got.push_back(*result.segmentation);
+    };
+    const StreamId id = engine.open_stream(opts);
+
+    const auto first = engine.submit(id, frames[0]);
+    ASSERT_EQ(engine.wait(first.ticket), WaitStatus::kCompleted) << what;
+    engine.pause();
+    // queue_limit 2: frames[1] is queued before the cut and evicted first;
+    // frames[2] (the cut) is evicted by frames[4], handing the cut to
+    // frames[3]. queue_limit 1: frames[2] and frames[3] are evicted in turn
+    // and frames[4] inherits the cut.
+    if (queue_limit == 2) {
+      ASSERT_EQ(engine.submit(id, frames[1]).status, SubmitStatus::kAdmitted);
+    }
+    engine.reset_stream(id);
+    for (std::size_t f = 2; f < frames.size(); ++f) {
+      ASSERT_EQ(engine.submit(id, frames[f]).status, SubmitStatus::kAdmitted)
+          << what;
+    }
+    engine.resume();
+    engine.drain();
+    EXPECT_EQ(engine.stream_stats(id).dropped, 2u) << what;
+
+    const std::size_t first_survivor = queue_limit == 2 ? 3 : 4;
+    TemporalSlic reference(params);
+    std::vector<Segmentation> want;
+    want.push_back(reference.next_frame(frames[0]));
+    reference.reset();
+    for (std::size_t f = first_survivor; f < frames.size(); ++f)
+      want.push_back(reference.next_frame(frames[f]));
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (std::size_t i = 0; i < want.size(); ++i)
+      expect_identical(got[i], want[i], what + " completion " +
+                                            std::to_string(i));
+  }
+}
+
+TEST(StreamEngine, OpenStreamRejectsNegativeWarmIterations) {
+  StreamEngine engine;
+  StreamOptions opts;
+  opts.params = small_params();
+  opts.warm_iterations = -1;
+  EXPECT_THROW((void)engine.open_stream(opts), ContractViolation);
+  EXPECT_EQ(engine.stats().streams, 0u);
 }
 
 TEST(StreamEngine, SteadyStateFramesAreAllocationFree) {
@@ -456,35 +578,6 @@ TEST(StreamEngine, TwoEnginesDoNotAliasMetrics) {
   EXPECT_EQ(registry.counter(second_name).value(), 0u);
 }
 
-TEST(BatchSegmenter, InstancesDoNotAliasMetrics) {
-  // The per-instance keying fixed here: with a singleton key, running one
-  // segmenter would bump (and its finished batch would zero the inflight
-  // gauge of) every other segmenter in the process.
-  const SlicParams params = small_params();
-  BatchSegmenter first(params);
-  BatchSegmenter second(params);
-  ASSERT_NE(first.instance_id(), second.instance_id());
-
-  std::vector<LabImage> frames;
-  frames.push_back(
-      srgb_to_lab(generate_synthetic({120, 90}, 29).image));
-  frames.push_back(
-      srgb_to_lab(generate_synthetic({120, 90}, 31).image));
-  first.segment_lab_batch(frames);
-
-  auto& registry = telemetry::MetricsRegistry::global();
-  const auto name = [](int instance, const char* metric) {
-    return "sslic.batch." + std::to_string(instance) + "." + metric;
-  };
-  EXPECT_EQ(registry.counter(name(first.instance_id(), "frames")).value(),
-            2u);
-  EXPECT_EQ(registry.counter(name(second.instance_id(), "frames")).value(),
-            0u);
-  EXPECT_EQ(registry.counter(name(first.instance_id(), "runs")).value(), 1u);
-  EXPECT_EQ(registry.counter(name(second.instance_id(), "runs")).value(),
-            0u);
-}
-
 TEST(StreamEngine, StatuszSectionListsLiveEngines) {
   StreamEngine engine;
   StreamOptions opts;
@@ -543,14 +636,22 @@ TEST(StreamEngine, FrameContextsAreUniqueAndReachCallbacks) {
 
 // Each completed frame emits one wide event whose five stages tile its
 // end-to-end latency exactly (each boundary is one clock read, so the sum
-// differs from e2e only by floating-point rounding).
+// differs from e2e only by floating-point rounding). The `warm` flag is
+// the segmenter's own: a mid-stream resolution change cold-starts and
+// reports warm == false.
 TEST(StreamEngine, WideEventStagesSumToEndToEndLatency) {
   ops::framez_reset();
-  const std::vector<RgbImage> frames = synthetic_frames(5, 96, 72, 400);
+  std::vector<RgbImage> frames = synthetic_frames(4, 96, 72, 400);
+  for (RgbImage& frame : synthetic_frames(2, 120, 90, 410))
+    frames.push_back(std::move(frame));
+  constexpr std::size_t kResized = 4;  // first 120x90 frame
+  std::vector<Segmentation> got;
   StreamEngine engine;
   StreamOptions opts;
   opts.params = small_params(40, 3);
-  opts.on_complete = [](const FrameResult&) {};
+  opts.on_complete = [&](const FrameResult& result) {
+    got.push_back(*result.segmentation);
+  };
   const StreamId id = engine.open_stream(opts);
   std::vector<std::uint64_t> trace_ids;
   for (const RgbImage& frame : frames)
@@ -577,13 +678,19 @@ TEST(StreamEngine, WideEventStagesSumToEndToEndLatency) {
         << "stages must tile the end-to-end latency, frame " << f;
     EXPECT_GT(e.iterations, 0u);
     EXPECT_STRNE(e.isa, "");
-    EXPECT_STRNE(e.assign, "");
     EXPECT_GE(e.batch_frames, 1u);
     EXPECT_GT(e.completed_ns, 0u);
-    // Frame 1 cold-starts; temporal warm starts kick in from frame 2.
-    EXPECT_EQ(e.warm, f > 0) << f;
+    // Frame 1 and the first frame at the new resolution cold-start; every
+    // other frame warm-starts from its predecessor.
+    EXPECT_EQ(e.warm, f != 0 && f != kResized) << f;
   }
   engine.close_stream(id);
+
+  TemporalSlic reference(opts.params);
+  ASSERT_EQ(got.size(), frames.size());
+  for (std::size_t f = 0; f < frames.size(); ++f)
+    expect_identical(got[f], reference.next_frame(frames[f]),
+                     "frame " + std::to_string(f));
 }
 
 // A stream with a latency SLO the engine cannot possibly meet must burn its

@@ -24,8 +24,6 @@
 #include "common/thread_pool.h"
 #include "dataset/synthetic.h"
 #include "slic/assign_kernels.h"
-#include "slic/assign_strategy.h"
-#include "slic/batch.h"
 #include "slic/center_update.h"
 #include "slic/fusion.h"
 #include "slic/slic_baseline.h"
@@ -139,13 +137,9 @@ void expect_identical(const Segmentation& fused, const Segmentation& two_pass,
 
 TEST(FusedIteration, MatchesTwoPassAcrossVariantsIsasThreadsAndStrategies) {
   // The full identity matrix: every algorithm variant x every compiled
-  // backend x thread counts x both assignment schedules. Within one
-  // (variant, isa, threads) cell the four runs — {row, cluster} x
-  // {fused, two-pass} — must all be byte-identical: fusion by the §4e
-  // contract, and the cluster schedule by the §4g argument (same centers
-  // per pixel, same ascending order, same strict-< arithmetic). PPA
-  // ignores the strategy switch (it is natively cluster-centric), so for
-  // PPA variants the strategy loop doubles as an invariance check.
+  // backend x thread counts x both iteration strategies. Within one
+  // (variant, isa, threads) cell the fused single-pass and the two-pass
+  // runs must be byte-identical by the §4e contract.
   const GroundTruthImage gt = generate_synthetic({160, 120}, 41);
   const LabImage lab = srgb_to_lab(gt.image);
   IsaGuard isa_guard;
@@ -155,22 +149,11 @@ TEST(FusedIteration, MatchesTwoPassAcrossVariantsIsasThreadsAndStrategies) {
       simd::set_preferred_isa(isa);
       for (const int threads : {1, 3, 7}) {
         ThreadPool::set_global_threads(threads);
-        Segmentation baseline;
-        for (const AssignStrategy strategy :
-             {AssignStrategy::kRow, AssignStrategy::kCluster}) {
-          AssignStrategyGuard strategy_guard(strategy);
-          const std::string what = v.name + " isa=" + simd::isa_name(isa) +
-                                   " threads=" + std::to_string(threads) +
-                                   " assign=" + assign_strategy_name(strategy);
-          const Segmentation fused = run_variant(v, lab, true);
-          const Segmentation two_pass = run_variant(v, lab, false);
-          expect_identical(fused, two_pass, what);
-          if (strategy == AssignStrategy::kRow) {
-            baseline = two_pass;
-          } else {
-            expect_identical(two_pass, baseline, what + " vs row baseline");
-          }
-        }
+        const std::string what = v.name + " isa=" + simd::isa_name(isa) +
+                                 " threads=" + std::to_string(threads);
+        const Segmentation fused = run_variant(v, lab, true);
+        const Segmentation two_pass = run_variant(v, lab, false);
+        expect_identical(fused, two_pass, what);
       }
     }
   }
@@ -295,71 +278,6 @@ TEST(TemporalSlicAllocations, SteadyStateFramesAreAllocationFree) {
   const std::uint64_t allocs = alloc_counter::count_allocations(
       [&] { (void)video.next_frame(bigger); });
   EXPECT_EQ(allocs, 0u) << "steady state not re-reached after resize";
-}
-
-TEST(BatchSegmenter, MatchesSingleFrameRunsAcrossThreads) {
-  // Batch dispatch parallelizes across frames (each frame's inner
-  // segmenter runs serially inside a worker); the determinism contract
-  // makes that byte-identical to the plain single-frame calls at any
-  // thread count, for both algorithms.
-  GlobalThreadsGuard threads_guard;
-  std::vector<LabImage> frames;
-  for (int f = 0; f < 4; ++f) {
-    frames.push_back(srgb_to_lab(
-        generate_synthetic({160, 120}, 700 + static_cast<std::uint64_t>(f))
-            .image));
-  }
-  SlicParams params;
-  params.num_superpixels = 80;
-  params.max_iterations = 5;
-  params.subsample_ratio = 0.5;
-
-  for (const BatchSegmenter::Algorithm algorithm :
-       {BatchSegmenter::Algorithm::kCpa, BatchSegmenter::Algorithm::kPpa}) {
-    std::vector<Segmentation> refs;
-    for (const LabImage& lab : frames) {
-      refs.push_back(algorithm == BatchSegmenter::Algorithm::kCpa
-                         ? CpaSlic(params).segment_lab(lab)
-                         : PpaSlic(params).segment_lab(lab));
-    }
-    for (const int threads : {1, 3, 7}) {
-      ThreadPool::set_global_threads(threads);
-      BatchSegmenter batch(params, algorithm);
-      batch.segment_lab_batch(frames);
-      ASSERT_EQ(batch.results().size(), frames.size());
-      for (std::size_t i = 0; i < frames.size(); ++i) {
-        expect_identical(
-            batch.results()[i], refs[i],
-            std::string("batch ") +
-                (algorithm == BatchSegmenter::Algorithm::kCpa ? "cpa" : "ppa") +
-                " frame=" + std::to_string(i) +
-                " threads=" + std::to_string(threads));
-      }
-    }
-  }
-}
-
-TEST(BatchSegmenter, SteadyStateBatchesAreAllocationFree) {
-  // Same-geometry batches reuse every per-slot buffer: after the first
-  // batch warms the pools, a batch performs zero heap allocations (the
-  // amortization the multi-stream seam exists for). The cluster schedule
-  // is pinned so its span/bucket scratch reuse is covered too.
-  const AssignStrategyGuard strategy_guard(AssignStrategy::kCluster);
-  SlicParams params;
-  params.num_superpixels = 80;
-  params.max_iterations = 5;
-  BatchSegmenter batch(params, BatchSegmenter::Algorithm::kCpa);
-  std::vector<LabImage> frames;
-  for (int f = 0; f < 3; ++f) {
-    frames.push_back(srgb_to_lab(
-        generate_synthetic({160, 120}, 800 + static_cast<std::uint64_t>(f))
-            .image));
-  }
-  batch.segment_lab_batch(frames);
-  batch.segment_lab_batch(frames);
-  const std::uint64_t allocs = alloc_counter::count_allocations(
-      [&] { batch.segment_lab_batch(frames); });
-  EXPECT_EQ(allocs, 0u) << "steady-state batch touched the heap";
 }
 
 TEST(TemporalSlicAllocations, SteadyStateHoldsAtEveryThreadCount) {

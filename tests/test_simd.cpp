@@ -19,7 +19,6 @@
 #include "common/telemetry.h"
 #include "dataset/synthetic.h"
 #include "slic/assign_kernels.h"
-#include "slic/assign_strategy.h"
 #include "slic/hw_datapath.h"
 #include "slic/slic_baseline.h"
 #include "slic/subsampled.h"
@@ -288,62 +287,6 @@ TEST(SimdKernels, AssignCandidatesRowMatchesScalarExactly) {
   }
 }
 
-TEST(SimdKernels, AssignCandidatesRowSeededMatchesCenterRowChain) {
-  // The seeded kernel's contract: one call over an ascending candidate list
-  // leaves exactly the bytes that visiting the same centers one by one with
-  // assign_center_row leaves (the row-sweep path of the cluster-centric
-  // schedule's determinism argument). Reference = scalar center-row chain;
-  // every backend's seeded kernel must match it byte for byte.
-  std::vector<simd::Isa> isas = testable_vector_isas();
-  isas.push_back(simd::Isa::kScalar);
-  const kernels::KernelTable& scalar = kernels::scalar_table();
-
-  Rng rng(0x5eeded);
-  for (int trial = 0; trial < 300; ++trial) {
-    const std::int32_t count = rng.next_int(1, 37);
-    const std::size_t offset = static_cast<std::size_t>(rng.next_int(0, 7));
-    const std::int32_t x0 = rng.next_int(0, 400);
-    const double y = static_cast<double>(rng.next_int(0, 300));
-    const double weight = rng.next_double(0.001, 2.0);
-    const std::int32_t ncand = rng.next_int(1, 9);
-    std::array<kernels::CenterOperand, 9> cands;
-    for (std::int32_t k = 0; k < ncand; ++k)
-      cands[static_cast<std::size_t>(k)] = random_center(rng, 400, k * 11);
-    if (ncand >= 2 && rng.next_bool(0.5)) {
-      // Duplicate candidate: the tie must keep the earlier evaluation.
-      kernels::CenterOperand dup = cands[0];
-      dup.index = 999;
-      cands[static_cast<std::size_t>(ncand - 1)] = dup;
-    }
-    const FloatRows base =
-        make_float_rows(rng, offset + static_cast<std::size_t>(count));
-
-    FloatRows ref = base;
-    for (std::int32_t k = 0; k < ncand; ++k) {
-      scalar.assign_center_row(ref.L.data() + offset, ref.a.data() + offset,
-                               ref.b.data() + offset, x0, count, y,
-                               cands[static_cast<std::size_t>(k)], weight,
-                               ref.min_dist.data() + offset,
-                               ref.labels.data() + offset);
-    }
-    for (const simd::Isa isa : isas) {
-      FloatRows got = base;
-      kernels::table_for(isa).assign_candidates_row_seeded(
-          got.L.data() + offset, got.a.data() + offset, got.b.data() + offset,
-          x0, count, y, cands.data(), ncand, weight,
-          got.min_dist.data() + offset, got.labels.data() + offset);
-      ASSERT_EQ(std::memcmp(got.min_dist.data(), ref.min_dist.data(),
-                            ref.min_dist.size() * sizeof(double)),
-                0)
-          << "min_dist diverged, isa=" << simd::isa_name(isa)
-          << " trial=" << trial;
-      ASSERT_EQ(got.labels, ref.labels)
-          << "labels diverged, isa=" << simd::isa_name(isa)
-          << " trial=" << trial;
-    }
-  }
-}
-
 TEST(SimdKernels, AssignCandidatesRowU8MatchesScalarExactly) {
   const std::vector<simd::Isa> isas = testable_vector_isas();
   if (isas.empty()) GTEST_SKIP() << "no vector backend compiled for this CPU";
@@ -429,40 +372,6 @@ TEST_F(SimdEndToEnd, CpaLabelsAndCentersIdenticalAcrossIsas) {
                           ref.centers.size() * sizeof(ClusterCenter)),
               0)
         << "isa=" << simd::isa_name(isa);
-  }
-}
-
-TEST_F(SimdEndToEnd, CpaClusterStrategyMatchesRowAcrossIsas) {
-  // The cluster-centric schedule must be byte-identical to the row sweep on
-  // every backend, for both the full (reset-per-iteration) and subsampled
-  // (persistent seeded min-distance) CPA variants.
-  IsaGuard guard;
-  const RgbImage image = test_image();
-  for (const double ratio : {1.0, 0.25}) {
-    SlicParams params;
-    params.num_superpixels = 60;
-    params.max_iterations = 4;
-    params.subsample_ratio = ratio;
-
-    Segmentation ref;
-    {
-      AssignStrategyGuard row(AssignStrategy::kRow);
-      simd::set_preferred_isa(simd::Isa::kScalar);
-      ref = CpaSlic(params).segment(image);
-    }
-    AssignStrategyGuard cluster(AssignStrategy::kCluster);
-    std::vector<simd::Isa> isas = testable_vector_isas();
-    isas.push_back(simd::Isa::kScalar);
-    for (const simd::Isa isa : isas) {
-      simd::set_preferred_isa(isa);
-      const Segmentation got = CpaSlic(params).segment(image);
-      ASSERT_EQ(got.labels.pixels(), ref.labels.pixels())
-          << "isa=" << simd::isa_name(isa) << " ratio=" << ratio;
-      ASSERT_EQ(std::memcmp(got.centers.data(), ref.centers.data(),
-                            ref.centers.size() * sizeof(ClusterCenter)),
-                0)
-          << "isa=" << simd::isa_name(isa) << " ratio=" << ratio;
-    }
   }
 }
 
