@@ -39,6 +39,14 @@ struct ScanWindow {
   }
 };
 
+/// Integer tallies of one PPA assignment stripe, summed in ascending stripe
+/// order on the calling thread after the pool join.
+struct StripeTally {
+  std::uint64_t pixels_visited = 0;
+  std::uint64_t tiles_skipped = 0;   ///< preemptive: all 9 candidates frozen
+  std::uint64_t tiles_assigned = 0;  ///< tiles that fetched their candidates
+};
+
 /// Working buffers of one segmentation run; see the header comment.
 struct IterationScratch {
   // --- Shared by CPA and PPA ---
@@ -58,10 +66,14 @@ struct IterationScratch {
 
   // --- PPA (subsampled.cpp) ---
   LabImage stored;  ///< quantized image copy (data widths below float only)
-  std::vector<std::uint8_t> row_active;  ///< per-row subset mask
+  /// Subset-mask rows: one image-wide slice per assignment stripe, so
+  /// stripes running on different threads never share a mask.
+  std::vector<std::uint8_t> row_active;
   std::vector<std::uint8_t> frozen;      ///< preemptive: converged centers
   std::vector<std::uint8_t> calm_streak;
   std::vector<std::uint8_t> tile_skipped;
+  std::vector<StripeTally> stripe_tallies;       ///< one per stripe
+  std::vector<std::uint64_t> band_accumulated;   ///< pixels per sigma band
   /// Static 9-candidate map, cached per (width, height, K) geometry.
   std::vector<CandidateList> candidates;
   int candidates_width = 0;

@@ -1,10 +1,13 @@
 // Golden tests for the fused iteration loop (assignment + sigma
 // accumulation in one band sweep) against the two-pass loop it replaced:
 //
-//  - labels AND centers must be byte-identical between the two paths for
-//    every algorithm variant (exact CPA, subsampled CPA, PPA with both
-//    subset patterns, preemptive PPA), every compiled SIMD backend, and
-//    several thread counts — the determinism contract of DESIGN.md §4e.
+//  - CPA labels AND centers must be byte-identical between the two paths
+//    for exact and subsampled CPA, every compiled SIMD backend, and several
+//    thread counts — the determinism contract of DESIGN.md §4e.
+//  - PPA has one schedule whatever the fusion switch says, so each PPA
+//    variant (both subset patterns, preemptive, warm start, quantized data
+//    width) must reproduce its own threads=1 run byte for byte at every
+//    thread count under both switch settings.
 //  - the accumulate_row kernel of every vector backend must bit-equal the
 //    scalar reference on fuzzed rows (same contract as the assign kernels).
 //  - TemporalSlic's steady state (frame 2 onward at fixed geometry) must
@@ -137,9 +140,10 @@ void expect_identical(const Segmentation& fused, const Segmentation& two_pass,
 
 TEST(FusedIteration, MatchesTwoPassAcrossVariantsIsasThreadsAndStrategies) {
   // The full identity matrix: every algorithm variant x every compiled
-  // backend x thread counts x both iteration strategies. Within one
-  // (variant, isa, threads) cell the fused single-pass and the two-pass
-  // runs must be byte-identical by the §4e contract.
+  // backend x thread counts x both switch settings. Within one (variant,
+  // isa, threads) cell the CPA fused single-pass and two-pass runs must be
+  // byte-identical by the §4e contract; a PPA cell must reproduce the
+  // threads=1 run of its (variant, isa) under both settings.
   const GroundTruthImage gt = generate_synthetic({160, 120}, 41);
   const LabImage lab = srgb_to_lab(gt.image);
   IsaGuard isa_guard;
@@ -147,14 +151,39 @@ TEST(FusedIteration, MatchesTwoPassAcrossVariantsIsasThreadsAndStrategies) {
   for (const Variant& v : variants()) {
     for (const simd::Isa isa : testable_isas()) {
       simd::set_preferred_isa(isa);
+      Segmentation serial;
       for (const int threads : {1, 3, 7}) {
         ThreadPool::set_global_threads(threads);
         const std::string what = v.name + " isa=" + simd::isa_name(isa) +
                                  " threads=" + std::to_string(threads);
         const Segmentation fused = run_variant(v, lab, true);
         const Segmentation two_pass = run_variant(v, lab, false);
-        expect_identical(fused, two_pass, what);
+        if (v.cpa) {
+          expect_identical(fused, two_pass, what);
+          continue;
+        }
+        if (threads == 1) serial = fused;
+        expect_identical(fused, serial, what + " fuse=1 vs threads=1");
+        expect_identical(two_pass, serial, what + " fuse=0 vs threads=1");
       }
+    }
+  }
+}
+
+/// Runs `segment` at threads 3 and 8 under both fusion settings and checks
+/// every run against the threads=1 run.
+template <typename Segment>
+void expect_matches_serial(const Segment& segment, const std::string& name) {
+  GlobalThreadsGuard threads_guard;
+  ThreadPool::set_global_threads(1);
+  const Segmentation serial = segment();
+  for (const int threads : {3, 8}) {
+    ThreadPool::set_global_threads(threads);
+    for (const bool fused : {true, false}) {
+      FusionGuard guard(fused);
+      expect_identical(segment(), serial,
+                       name + " threads=" + std::to_string(threads) +
+                           " fuse=" + (fused ? "1" : "0"));
     }
   }
 }
@@ -169,16 +198,8 @@ TEST(FusedIteration, WarmStartMatchesTwoPass) {
   const PpaSlic segmenter(params);
   const std::vector<ClusterCenter> warm =
       segmenter.segment_lab(lab).centers;
-  Segmentation fused, two_pass;
-  {
-    FusionGuard guard(true);
-    fused = segmenter.segment_lab_warm(lab, warm);
-  }
-  {
-    FusionGuard guard(false);
-    two_pass = segmenter.segment_lab_warm(lab, warm);
-  }
-  expect_identical(fused, two_pass, "ppa-warm");
+  expect_matches_serial([&] { return segmenter.segment_lab_warm(lab, warm); },
+                        "ppa-warm");
 }
 
 TEST(FusedIteration, QuantizedDataWidthMatchesTwoPass) {
@@ -189,16 +210,8 @@ TEST(FusedIteration, QuantizedDataWidthMatchesTwoPass) {
   params.max_iterations = 5;
   params.subsample_ratio = 0.5;
   const PpaSlic segmenter(params, DataWidth::fixed(8));
-  Segmentation fused, two_pass;
-  {
-    FusionGuard guard(true);
-    fused = segmenter.segment_lab(lab);
-  }
-  {
-    FusionGuard guard(false);
-    two_pass = segmenter.segment_lab(lab);
-  }
-  expect_identical(fused, two_pass, "ppa-quantized-8bit");
+  expect_matches_serial([&] { return segmenter.segment_lab(lab); },
+                        "ppa-quantized-8bit");
 }
 
 TEST(FusedIteration, IntoVariantMatchesValueOverload) {
@@ -281,19 +294,24 @@ TEST(TemporalSlicAllocations, SteadyStateFramesAreAllocationFree) {
 }
 
 TEST(TemporalSlicAllocations, SteadyStateHoldsAtEveryThreadCount) {
+  // Ratio 0.5 takes the masked accumulation path and its per-stripe mask
+  // slices; ratio 1.0 the run-batched kernel path.
   GlobalThreadsGuard threads_guard;
-  for (const int threads : {1, 4}) {
-    ThreadPool::set_global_threads(threads);
-    SlicParams params;
-    params.num_superpixels = 120;
-    params.max_iterations = 6;
-    TemporalSlic video(params);
-    const RgbImage frame = generate_synthetic({160, 120}, 321).image;
-    (void)video.next_frame(frame);
-    (void)video.next_frame(frame);
-    const std::uint64_t allocs = alloc_counter::count_allocations(
-        [&] { (void)video.next_frame(frame); });
-    EXPECT_EQ(allocs, 0u) << "threads=" << threads;
+  for (const double ratio : {1.0, 0.5}) {
+    for (const int threads : {1, 4}) {
+      ThreadPool::set_global_threads(threads);
+      SlicParams params;
+      params.num_superpixels = 120;
+      params.max_iterations = 6;
+      params.subsample_ratio = ratio;
+      TemporalSlic video(params);
+      const RgbImage frame = generate_synthetic({160, 120}, 321).image;
+      (void)video.next_frame(frame);
+      (void)video.next_frame(frame);
+      const std::uint64_t allocs = alloc_counter::count_allocations(
+          [&] { (void)video.next_frame(frame); });
+      EXPECT_EQ(allocs, 0u) << "ratio=" << ratio << " threads=" << threads;
+    }
   }
 }
 

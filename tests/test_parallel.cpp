@@ -1,17 +1,23 @@
 // Tests for the multithreaded execution layer (thread pool, parallel_for,
 // parallel_reduce) and the determinism contract of the parallelized SLIC
-// paths: results must be bit-identical at every thread count.
+// paths (CpaSlic, PpaSlic and warm-started TemporalSlic): results must be
+// bit-identical at every thread count.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.h"
 #include "dataset/synthetic.h"
 #include "slic/slic_baseline.h"
+#include "slic/subsampled.h"
+#include "slic/temporal.h"
 #include "slic/types.h"
 
 namespace sslic {
@@ -166,6 +172,139 @@ TEST(Determinism, SlicLabelsAndCentersMatchSerial) {
         << "seed=" << c.seed << " ratio=" << c.ratio;
     EXPECT_EQ(serial.centers, parallel.centers)
         << "seed=" << c.seed << " ratio=" << c.ratio;
+  }
+}
+
+static_assert(sizeof(ClusterCenter) == 5 * sizeof(double),
+              "memcmp center comparison assumes a packed layout");
+
+/// Byte-level equality of labels and centers: operator== on doubles would
+/// let -0.0 pass for +0.0 and hide a summation-order change.
+void expect_same_bytes(const Segmentation& serial, const Segmentation& got,
+                       const std::string& what) {
+  EXPECT_EQ(serial.iterations_run, got.iterations_run) << what;
+  EXPECT_EQ(serial.labels.pixels(), got.labels.pixels()) << what;
+  ASSERT_EQ(serial.centers.size(), got.centers.size()) << what;
+  EXPECT_EQ(0, std::memcmp(serial.centers.data(), got.centers.data(),
+                           serial.centers.size() * sizeof(ClusterCenter)))
+      << what << ": centers differ at the byte level";
+}
+
+/// One PPA configuration of the thread-count identity checks.
+struct PpaCase {
+  std::string name;
+  int width = 160;
+  int height = 120;
+  SlicParams params;
+  DataWidth data_width = DataWidth::float64();
+};
+
+std::vector<PpaCase> ppa_cases() {
+  const auto make = [](std::string name, double ratio) {
+    PpaCase c;
+    c.name = std::move(name);
+    c.params.num_superpixels = 80;
+    c.params.max_iterations = 8;
+    c.params.subsample_ratio = ratio;
+    return c;
+  };
+  std::vector<PpaCase> out;
+  out.push_back(make("ratio-1", 1.0));
+  out.push_back(make("ratio-0.5", 0.5));
+  out.push_back(make("ratio-0.25", 0.25));
+  {
+    PpaCase c = make("rows-0.5", 0.5);
+    c.params.subset_pattern = SubsetPattern::kRowInterleaved;
+    out.push_back(c);
+  }
+  // A loose freeze threshold makes the preemptive runs skip tiles.
+  for (const double ratio : {0.5, 1.0}) {
+    PpaCase c = make("preemptive-" + std::to_string(ratio), ratio);
+    c.params.preemptive = true;
+    c.params.freeze_threshold = 0.6;
+    c.params.max_iterations = 12;
+    out.push_back(c);
+  }
+  {
+    PpaCase c = make("8-bit", 0.5);
+    c.data_width = DataWidth::fixed(8);
+    out.push_back(c);
+  }
+  {
+    // 21x14 grid: neither dimension divides, so tiles and stripes are
+    // ragged.
+    PpaCase c = make("481x321-k300", 0.5);
+    c.width = 481;
+    c.height = 321;
+    c.params.num_superpixels = 300;
+    out.push_back(c);
+  }
+  {
+    // Two grid rows: fewer accumulation bands than threads, and each band
+    // scans the other's stripe.
+    PpaCase c = make("400x96-k16", 1.0);
+    c.width = 400;
+    c.height = 96;
+    c.params.num_superpixels = 16;
+    out.push_back(c);
+  }
+  {
+    // One grid row: a single stripe and a single band at any thread count.
+    PpaCase c = make("400x48-k8", 0.5);
+    c.width = 400;
+    c.height = 48;
+    c.params.num_superpixels = 8;
+    out.push_back(c);
+  }
+  return out;
+}
+
+TEST(Determinism, PpaLabelsAndCentersMatchSerial) {
+  GlobalThreadsGuard guard;
+  for (const PpaCase& c : ppa_cases()) {
+    SyntheticParams scene;
+    scene.width = c.width;
+    scene.height = c.height;
+    const GroundTruthImage gt = generate_synthetic(scene, 21);
+    const PpaSlic slic(c.params, c.data_width);
+
+    ThreadPool::set_global_threads(1);
+    const Segmentation serial = slic.segment(gt.image);
+    for (const int threads : {3, 8}) {
+      ThreadPool::set_global_threads(threads);
+      expect_same_bytes(serial, slic.segment(gt.image),
+                        c.name + " threads=" + std::to_string(threads));
+    }
+  }
+}
+
+TEST(Determinism, WarmTemporalSlicMatchesSerial) {
+  GlobalThreadsGuard guard;
+  for (const PpaCase& c : ppa_cases()) {
+    SyntheticParams scene;
+    scene.width = c.width;
+    scene.height = c.height;
+    std::vector<RgbImage> frames;
+    for (std::uint64_t f = 0; f < 3; ++f)
+      frames.push_back(generate_synthetic(scene, 30 + f).image);
+
+    // Frame 0 is cold; frames 1 and 2 warm-start from their predecessor.
+    const auto run_stream = [&](int threads) {
+      ThreadPool::set_global_threads(threads);
+      TemporalSlic video(c.params, c.data_width);
+      std::vector<Segmentation> out;
+      for (const RgbImage& frame : frames) out.push_back(video.next_frame(frame));
+      return out;
+    };
+    const std::vector<Segmentation> serial = run_stream(1);
+    for (const int threads : {3, 8}) {
+      const std::vector<Segmentation> parallel = run_stream(threads);
+      for (std::size_t f = 0; f < frames.size(); ++f) {
+        expect_same_bytes(serial[f], parallel[f],
+                          c.name + " threads=" + std::to_string(threads) +
+                              " frame=" + std::to_string(f));
+      }
+    }
   }
 }
 
