@@ -392,6 +392,13 @@ void StreamEngine::scheduler_loop() {
     // batch (one clock read — the stages must tile the timeline exactly).
     const double form_ms = clock_.elapsed_ms();
     const std::size_t num_streams = streams_.size();
+    // A batch holds at most one frame per stream. Sizing the batch scratch
+    // for every open stream here, rather than growing it on the first
+    // multi-frame batch, keeps a steady-state cycle allocation-free however
+    // the frames happened to batch while warming up.
+    batch_.reserve(num_streams);
+    drafts_.reserve(num_streams);
+    callbacks_.reserve(num_streams);
     for (std::size_t step = 0; step < num_streams; ++step) {
       if (options_.max_batch_frames != 0 &&
           batch_.size() >= options_.max_batch_frames)
