@@ -31,9 +31,17 @@ class CenterGrid {
   /// Grid interval S = sqrt(N/K) (paper Section 2).
   [[nodiscard]] double spacing() const { return spacing_; }
 
-  /// Grid-cell coordinates containing pixel (x, y).
+  /// Grid-cell coordinates containing pixel (x, y) (x*nx/w, y*ny/h): the
+  /// cell whose center a pixel is initially labelled with.
   [[nodiscard]] int cell_x(int x) const;
   [[nodiscard]] int cell_y(int y) const;
+
+  /// PPA assignment tile containing pixel (x, y): tile (gx, gy) spans
+  /// columns [gx*w/nx, (gx+1)*w/nx) and rows [gy*h/ny, (gy+1)*h/ny). Not
+  /// always the grid cell: the two partitions floor different products and
+  /// disagree on boundary pixels whenever nx does not divide w (or ny, h).
+  [[nodiscard]] int tile_column(int x) const;
+  [[nodiscard]] int tile_row(int y) const;
 
   /// Flat center index of grid cell (gx, gy).
   [[nodiscard]] std::int32_t center_index(int gx, int gy) const;

@@ -330,6 +330,24 @@ TEST(Preemptive, QualityPreservedOnTestImage) {
   EXPECT_NEAR(asa_pre, asa_plain, 0.03);
 }
 
+TEST(Preemptive, AccumulatesExactlyTheAssignedPixels) {
+  // 481x321 at K=300 is a 21x14 grid that divides neither dimension, so
+  // the assignment tiles and the initial-label cells disagree on boundary
+  // pixels. Accumulation must skip exactly the tiles assignment skipped:
+  // six sigma adds per assigned pixel, no more and no fewer.
+  const GroundTruthImage gt = generate_synthetic({481, 321}, 5);
+  SlicParams p;
+  p.num_superpixels = 300;
+  p.max_iterations = 12;
+  p.preemptive = true;
+  Instrumentation instr;
+  const Segmentation seg = PpaSlic(p).segment(gt.image, {}, &instr);
+  ASSERT_GT(instr.tiles_skipped, 0u) << "no tile skipped: nothing tested";
+  std::uint64_t assigned = 0;
+  for (const IterationStats& it : seg.trace) assigned += it.pixels_visited;
+  EXPECT_EQ(6 * assigned, instr.ops.accumulate_ops);
+}
+
 // ------------------------------------------------------ subset pattern (PPA)
 
 TEST(PpaSlic, RowInterleavedVisitsRatioOfPixels) {
