@@ -13,6 +13,8 @@
 // other counts fall back to diagonal striping.
 #pragma once
 
+#include <limits>
+
 #include "common/check.h"
 
 namespace sslic {
@@ -69,6 +71,36 @@ class SubsetSchedule {
   /// visited round-robin).
   [[nodiscard]] bool active(int x, int y, int iteration) const {
     return subset_of(x, y) == iteration % count_;
+  }
+
+  /// The active pixels of row `y` at `iteration` are x = first, first +
+  /// step, first + 2*step, ... below the image width; `first` is
+  /// kNoActivePixel when the row has none. Every pattern makes them an
+  /// arithmetic progression, so loops can stride instead of testing
+  /// active() per pixel.
+  struct RowStride {
+    int first = 0;
+    int step = 1;
+  };
+  static constexpr int kNoActivePixel = std::numeric_limits<int>::max();
+  [[nodiscard]] RowStride active_in_row(int y, int iteration) const {
+    SSLIC_DCHECK(y >= 0 && iteration >= 0);
+    const int s = iteration % count_;
+    switch (pattern_) {
+      case Pattern::kAll:
+        return {0, 1};
+      case Pattern::kCheckerboard:
+        return {(s + y) & 1, 2};
+      case Pattern::kBayer2x2:
+        if ((y & 1) != (s >> 1)) return {kNoActivePixel, 1};
+        return {s & 1, 2};
+      case Pattern::kDiagonal:
+        return {((s - 2 * (y % count_)) % count_ + count_) % count_, count_};
+      case Pattern::kRows:
+        if (y % count_ != s) return {kNoActivePixel, 1};
+        return {0, 1};
+    }
+    return {0, 1};
   }
 
   /// The subset visited at iteration `iteration`.
