@@ -1,7 +1,8 @@
-// Runtime switch between the fused single-pass iteration loop (assignment
-// and sigma accumulation in one band sweep — the software analogue of the
-// accelerator's tile-resident update unit, paper Section 5) and the
-// original two-pass loop it replaced.
+// Runtime switch between CpaSlic's fused single-pass iteration loop
+// (assignment and sigma accumulation in one band sweep — the software
+// analogue of the accelerator's tile-resident update unit, paper Section
+// 5) and the original two-pass loop it replaced. PpaSlic has a single
+// schedule and does not read the switch.
 //
 // Fusion is on by default; the two-pass path is kept alive as an escape
 // hatch for A/B measurement and for CI golden cross-checks (labels and
@@ -13,7 +14,7 @@
 
 namespace sslic {
 
-/// True when segmenters should run the fused single-pass iteration loop.
+/// True when CpaSlic should run the fused single-pass iteration loop.
 bool fusion_enabled();
 
 /// Process-wide override (e.g. from a `--no-fuse` flag or a test sweeping
