@@ -61,8 +61,8 @@ class PlanarStore {
   [[nodiscard]] float* lab_a() { return lab_a_; }
   [[nodiscard]] float* lab_b() { return lab_b_; }
   [[nodiscard]] std::int32_t* labels() { return labels_; }
-  /// Second label plane: the connectivity pass writes its relabelled output
-  /// here (the streaming analogue of ConnectivityScratch::out).
+  /// Second label plane: the flood-fill connectivity pass
+  /// (enforce_connectivity_span) writes its relabelled output here.
   [[nodiscard]] std::int32_t* labels_out() { return labels_out_; }
   /// Null unless opened with `with_min_dist`.
   [[nodiscard]] double* min_dist() { return min_dist_; }

@@ -1,8 +1,8 @@
 // Reusable per-run working state of the SLIC segmenters.
 //
 // Every buffer a segmentation run needs — the min-distance plane, planar
-// channel splits, per-band sigma pools, subset masks, connectivity
-// worklists — lives here instead of on the stack of segment_lab(), so a
+// channel splits, per-band sigma pools, subset masks, connectivity run
+// records — lives here instead of on the stack of segment_lab(), so a
 // caller that keeps one IterationScratch across frames (TemporalSlic, the
 // video pipeline, the fused-iteration bench) pays the allocations once and
 // runs every later frame of the same geometry with zero heap allocations

@@ -4,14 +4,21 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "common/check.h"
+#include "common/thread_pool.h"
+#include "dataset/synthetic.h"
 #include "slic/connectivity.h"
 #include "slic/grid.h"
+#include "slic/slic_baseline.h"
+#include "slic/subsampled.h"
 #include "slic/subset_schedule.h"
+#include "slic/temporal.h"
 
 namespace sslic {
 namespace {
@@ -388,6 +395,173 @@ TEST(Connectivity, OutputLabelsCompact) {
   EXPECT_EQ(static_cast<int>(seen.size()), result.final_label_count);
   EXPECT_EQ(*seen.begin(), 0);
   EXPECT_EQ(*seen.rbegin(), result.final_label_count - 1);
+}
+
+// The run union-find pass against the flood-fill oracle. Inputs are raw
+// (unconnected) segmenter labels at the geometries the frame paths run,
+// plus label maps built to stress one part of the pass each.
+
+struct GlobalThreadsGuard {
+  ~GlobalThreadsGuard() { ThreadPool::set_global_threads(0); }
+};
+
+struct ConnectivityCase {
+  std::string name;
+  LabelImage raw;
+  int superpixels = 1;
+  int want_final_labels = -1;  ///< checked against the oracle when >= 0
+};
+
+SlicParams raw_params(int superpixels, int iterations, double ratio) {
+  SlicParams params;
+  params.num_superpixels = superpixels;
+  params.max_iterations = iterations;
+  params.subsample_ratio = ratio;
+  params.enforce_connectivity = false;
+  return params;
+}
+
+// Raw labels of the second, warm-started frame of an S-SLIC(0.5) stream.
+LabelImage warm_ppa_labels(int w, int h, int superpixels) {
+  TemporalSlic stream(raw_params(superpixels, 10, 0.5));
+  (void)stream.next_frame(generate_synthetic({w, h}, 11).image);
+  return stream.next_frame(generate_synthetic({w, h}, 12).image).labels;
+}
+
+LabelImage cpa_labels(int w, int h, int superpixels, int iterations) {
+  return CpaSlic(raw_params(superpixels, iterations, 1.0))
+      .segment(generate_synthetic({w, h}, 21).image)
+      .labels;
+}
+
+LabelImage ppa_labels(int w, int h, int superpixels) {
+  return PpaSlic(raw_params(superpixels, 6, 0.5))
+      .segment(generate_synthetic({w, h}, 31).image)
+      .labels;
+}
+
+// Every pixel is its own region; with a min_size above 1 all but the first
+// are absorbed.
+LabelImage checkerboard(int w, int h) {
+  LabelImage labels(w, h);
+  for (int y = 0; y < h; ++y)
+    for (int x = 0; x < w; ++x) labels(x, y) = (x + y) % 2;
+  return labels;
+}
+
+// A one-pixel square spiral of label 1 in a spiral of label 0: two regions
+// whose runs join through long union chains.
+LabelImage square_spiral(int size) {
+  LabelImage labels(size, size, 0);
+  const auto painted = [&](int x, int y) {
+    return x >= 0 && x < size && y >= 0 && y < size && labels(x, y) == 1;
+  };
+  const int dx[4] = {1, 0, -1, 0};
+  const int dy[4] = {0, 1, 0, -1};
+  int x = 0;
+  int y = 0;
+  int dir = 0;
+  labels(x, y) = 1;
+  for (int turns = 0; turns < 2;) {
+    const int nx = x + dx[dir];
+    const int ny = y + dy[dir];
+    const bool inside = nx >= 0 && nx < size && ny >= 0 && ny < size;
+    if (inside && !painted(nx, ny) && !painted(nx + dx[dir], ny + dy[dir])) {
+      x = nx;
+      y = ny;
+      labels(x, y) = 1;
+      turns = 0;
+    } else {
+      dir = (dir + 1) % 4;
+      ++turns;
+    }
+  }
+  return labels;
+}
+
+// One-column teeth of label 0 between gaps of label 1 that join only
+// through the last row, so the gap region's runs union at the very end.
+LabelImage comb(int w, int h) {
+  LabelImage labels(w, h, 1);
+  for (int y = 0; y + 1 < h; ++y)
+    for (int x = 0; x < w; x += 2) labels(x, y) = 0;
+  return labels;
+}
+
+// Row 0 reads R L L B R, and R wraps round L and B through the last row.
+// B's right neighbour starts before B and its left does not, so the flood
+// fill absorbs B into R, not L.
+LabelImage wrapped_row0(int h) {
+  LabelImage labels(5, h, 0);
+  for (int y = 0; y + 1 < h; ++y) {
+    labels(1, y) = 1;
+    labels(2, y) = 1;
+    labels(3, y) = y < 2 ? 2 : 3;
+  }
+  return labels;
+}
+
+// Three labels of uniform noise: many small regions of every shape.
+LabelImage noise(int w, int h, std::uint32_t seed) {
+  LabelImage labels(w, h);
+  std::uint32_t state = seed;
+  for (std::int32_t& label : labels.pixels()) {
+    state = state * 1664525u + 1013904223u;
+    label = static_cast<std::int32_t>((state >> 16) % 3);
+  }
+  return labels;
+}
+
+TEST(Connectivity, MatchesFloodFillOracleAcrossThreads) {
+  GlobalThreadsGuard threads_guard;
+  std::vector<ConnectivityCase> cases;
+  cases.push_back(
+      {"warm PPA 960x540 K=900", warm_ppa_labels(960, 540, 900), 900});
+  cases.push_back(
+      {"warm PPA 640x360 K=400", warm_ppa_labels(640, 360, 400), 400});
+  cases.push_back(
+      {"CPA 1920x1080 K=5000", cpa_labels(1920, 1080, 5000, 2), 5000});
+  cases.push_back({"CPA 481x321 K=300", cpa_labels(481, 321, 300, 10), 300});
+  cases.push_back({"PPA 37x611 K=60", ppa_labels(37, 611, 60), 60});
+  cases.push_back({"PPA 64x64 K=1", ppa_labels(64, 64, 1), 1});
+  cases.push_back({"PPA 200x150 K=3000", ppa_labels(200, 150, 3000), 3000});
+  cases.push_back({"checkerboard 97x61", checkerboard(97, 61), 100, 1});
+  cases.push_back({"one region 128x77", LabelImage(128, 77, 7), 50, 1});
+  cases.push_back({"square spiral 101x101", square_spiral(101), 4, 2});
+  cases.push_back({"comb 200x40, teeth absorbed", comb(200, 40), 10, 2});
+  cases.push_back({"comb 200x40, teeth kept", comb(200, 40), 1000, 101});
+  cases.push_back({"row 0 wraps round 5x8", wrapped_row0(8), 1, 2});
+  cases.push_back({"noise 123x45", noise(123, 45, 5), 40});
+  cases.push_back({"single row 257x1", noise(257, 1, 6), 20});
+  cases.push_back({"single column 1x193", noise(1, 193, 7), 20});
+
+  // One scratch for every case and thread count, so the pass also runs on
+  // records left behind by larger and smaller rasters.
+  ConnectivityScratch scratch;
+  for (const ConnectivityCase& c : cases) {
+    const int w = c.raw.width();
+    const int h = c.raw.height();
+    LabelImage want(w, h);
+    ConnectivitySpanScratch span;
+    const ConnectivityResult oracle = enforce_connectivity_span(
+        c.raw.pixels().data(), want.pixels().data(), w, h, c.superpixels, span);
+    if (c.want_final_labels >= 0) {
+      EXPECT_EQ(oracle.final_label_count, c.want_final_labels) << c.name;
+    }
+    for (const int threads : {1, 3, 8}) {
+      ThreadPool::set_global_threads(threads);
+      LabelImage got = c.raw;
+      // The 3-thread run takes the no-scratch path.
+      const ConnectivityResult result = enforce_connectivity(
+          got, c.superpixels, threads == 3 ? nullptr : &scratch);
+      const std::string where =
+          c.name + ", " + std::to_string(threads) + " threads";
+      EXPECT_TRUE(got.pixels() == want.pixels()) << where;
+      EXPECT_EQ(result.final_label_count, oracle.final_label_count) << where;
+      EXPECT_EQ(result.components_merged, oracle.components_merged) << where;
+      EXPECT_EQ(result.pixels_moved, oracle.pixels_moved) << where;
+    }
+  }
 }
 
 TEST(IsFullyConnected, DetectsSplitComponents) {
