@@ -4,6 +4,7 @@
 // Phases: color conversion / distance+min / center update / other
 // (initialization + connectivity enforcement).
 #include <iostream>
+#include <vector>
 
 #include "bench_common.h"
 #include "slic/fusion.h"
@@ -41,24 +42,29 @@ int main(int argc, char** argv) {
 
   struct PaperRow {
     const char* phase;
-    const char* key;
+    std::vector<const char*> keys;  ///< PhaseTimer phases the row sums
     double slic_pct;
     double sslic_pct;
   };
   const PaperRow rows[] = {
-      {"Color Conversion", CpaSlic::kPhaseColorConversion, 23.4, 18.7},
-      {"Distance + Min", CpaSlic::kPhaseDistanceMin, 65.9, 59.7},
-      {"Center Update", CpaSlic::kPhaseCenterUpdate, 10.2, 17.9},
-      {"Other", CpaSlic::kPhaseOther, 0.5, 3.7},
+      {"Color Conversion", {CpaSlic::kPhaseColorConversion}, 23.4, 18.7},
+      {"Distance + Min", {CpaSlic::kPhaseDistanceMin}, 65.9, 59.7},
+      {"Center Update", {CpaSlic::kPhaseCenterUpdate}, 10.2, 17.9},
+      // The paper's "Other" is initialization plus connectivity.
+      {"Other", {CpaSlic::kPhaseOther, CpaSlic::kPhaseConnectivity}, 0.5, 3.7},
+  };
+  const auto percent = [](const PhaseTimer& phases, const PaperRow& row) {
+    double fraction = 0.0;
+    for (const char* key : row.keys) fraction += phases.phase_fraction(key);
+    return fraction * 100.0;
   };
 
   Table table("Phase breakdown (measured vs paper)");
   table.set_header({"phase", "SLIC %", "(paper)", "S-SLIC %", "(paper)"});
   for (const auto& row : rows) {
-    table.add_row({row.phase,
-                   Table::num(slic_phases.phase_fraction(row.key) * 100.0, 1),
+    table.add_row({row.phase, Table::num(percent(slic_phases, row), 1),
                    Table::num(row.slic_pct, 1),
-                   Table::num(sslic_phases.phase_fraction(row.key) * 100.0, 1),
+                   Table::num(percent(sslic_phases, row), 1),
                    Table::num(row.sslic_pct, 1)});
   }
   table.add_note("mean over " + std::to_string(config.images) +

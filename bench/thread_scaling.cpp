@@ -107,6 +107,7 @@ int main(int argc, char** argv) {
       {"convert", CpaSlic::kPhaseColorConversion},
       {"assign", CpaSlic::kPhaseDistanceMin},
       {"update", CpaSlic::kPhaseCenterUpdate},
+      {"connectivity", CpaSlic::kPhaseConnectivity},
       {"other", CpaSlic::kPhaseOther}};
 
   struct Point {
@@ -149,8 +150,9 @@ int main(int argc, char** argv) {
 
   const double serial_ms = points.front().ms;
   Table table("1080p frame time vs thread count");
-  table.set_header({"threads", "ms/frame", "fps", "speedup", "convert", "assign",
-                    "update", "other", "labels vs serial"});
+  table.set_header({"threads", "ms/frame", "fps", "speedup", "convert",
+                    "assign", "update", "connectivity", "other",
+                    "labels vs serial"});
   for (auto& point : points) {
     point.speedup = serial_ms / point.ms;
     table.add_row({std::to_string(point.threads), Table::num(point.ms, 1),
@@ -159,6 +161,7 @@ int main(int argc, char** argv) {
                    Table::num(point.stage_ms.at("convert"), 1),
                    Table::num(point.stage_ms.at("assign"), 1),
                    Table::num(point.stage_ms.at("update"), 1),
+                   Table::num(point.stage_ms.at("connectivity"), 1),
                    Table::num(point.stage_ms.at("other"), 1),
                    point.identical ? "identical" : "DIFFER (bug!)"});
   }

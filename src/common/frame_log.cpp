@@ -160,6 +160,8 @@ void append_frame_event_json(std::string& out, const WideFrameEvent& e) {
   out += ", \"warm\": ";
   out += e.warm ? "true" : "false";
   out += ", \"batch_frames\": " + std::to_string(e.batch_frames);
+  out += ", \"final_labels\": " + std::to_string(e.final_labels);
+  out += ", \"pixels_relabelled\": " + std::to_string(e.pixels_relabelled);
   out += "}";
 }
 

@@ -52,6 +52,11 @@ struct WideFrameEvent {
   bool fused = false;
   bool warm = false;            ///< warm-started from the previous frame
   std::uint32_t batch_frames = 0;  ///< frames dispatched in the same batch
+
+  // Connectivity quality signals (Instrumentation::final_label_count and
+  // pixels_relabelled):
+  std::uint32_t final_labels = 0;       ///< labels after connectivity
+  std::uint64_t pixels_relabelled = 0;  ///< pixels connectivity moved
 };
 
 /// Appends `event` to the wide-event ring and folds it into the per-stream

@@ -477,6 +477,9 @@ void StreamEngine::scheduler_loop() {
       draft.event.fused = stream.instr.fused;
       draft.event.warm = stream.instr.warm;
       draft.event.batch_frames = batch_frames;
+      draft.event.final_labels =
+          static_cast<std::uint32_t>(stream.instr.final_label_count);
+      draft.event.pixels_relabelled = stream.instr.pixels_relabelled;
       draft.enter_ms = slot.enter_ms;
       draft.seg_end_ms = entry.seg_end_ms;
       drafts_.push_back(draft);

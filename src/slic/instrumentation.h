@@ -123,6 +123,12 @@ struct Instrumentation {
   /// True when the run started from the caller's centers (PpaSlic's
   /// temporal warm start) instead of grid seeding.
   bool warm = false;
+  /// Connectivity enforcement's outcome, both 0 when the run skipped it:
+  /// the labels left after relabelling and the pixels it moved into a
+  /// neighbouring region (ConnectivityResult's final_label_count and
+  /// pixels_moved).
+  std::uint64_t final_label_count = 0;
+  std::uint64_t pixels_relabelled = 0;
 
   /// Per-iteration averages (0 when no iteration ran).
   [[nodiscard]] double distance_ops_per_iteration() const {

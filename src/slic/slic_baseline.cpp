@@ -379,9 +379,13 @@ void CpaSlic::segment_lab_into(const LabImage& lab, Segmentation& result,
     Stopwatch conn_watch;
     SSLIC_TRACE_SCOPE("cpa.connectivity");
     SSLIC_PERF_SCOPE("cpa.connectivity");
-    enforce_connectivity(result.labels, params_.num_superpixels,
-                         &scratch.connectivity);
-    if (phases != nullptr) phases->add(kPhaseOther, conn_watch.elapsed_ms());
+    const ConnectivityResult connectivity = enforce_connectivity(
+        result.labels, params_.num_superpixels, &scratch.connectivity);
+    instr.final_label_count =
+        static_cast<std::uint64_t>(connectivity.final_label_count);
+    instr.pixels_relabelled = connectivity.pixels_moved;
+    if (phases != nullptr)
+      phases->add(kPhaseConnectivity, conn_watch.elapsed_ms());
   }
 }
 

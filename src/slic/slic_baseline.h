@@ -50,10 +50,12 @@ class CpaSlic {
 
   [[nodiscard]] const SlicParams& params() const { return params_; }
 
-  /// Phase names used with PhaseTimer (Table 1's row categories).
+  /// Phase names used with PhaseTimer. Table 1's "Other" row is
+  /// initialization (kPhaseOther) plus connectivity enforcement.
   static constexpr const char* kPhaseColorConversion = "color_conversion";
   static constexpr const char* kPhaseDistanceMin = "distance_min";
   static constexpr const char* kPhaseCenterUpdate = "center_update";
+  static constexpr const char* kPhaseConnectivity = "connectivity";
   static constexpr const char* kPhaseOther = "other";
 
  private:

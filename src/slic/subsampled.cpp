@@ -457,9 +457,13 @@ void PpaSlic::segment_impl(const LabImage& lab,
     Stopwatch conn_watch;
     SSLIC_TRACE_SCOPE("ppa.connectivity");
     SSLIC_PERF_SCOPE("ppa.connectivity");
-    enforce_connectivity(result.labels, params_.num_superpixels,
-                         &scratch.connectivity);
-    if (phases != nullptr) phases->add(CpaSlic::kPhaseOther, conn_watch.elapsed_ms());
+    const ConnectivityResult connectivity = enforce_connectivity(
+        result.labels, params_.num_superpixels, &scratch.connectivity);
+    instr.final_label_count =
+        static_cast<std::uint64_t>(connectivity.final_label_count);
+    instr.pixels_relabelled = connectivity.pixels_moved;
+    if (phases != nullptr)
+      phases->add(CpaSlic::kPhaseConnectivity, conn_watch.elapsed_ms());
   }
 }
 

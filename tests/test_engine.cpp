@@ -686,11 +686,18 @@ TEST(StreamEngine, WideEventStagesSumToEndToEndLatency) {
   }
   engine.close_stream(id);
 
+  // The frames' labels, and the connectivity signals in their wide events,
+  // match the sequential segmenter's.
   TemporalSlic reference(opts.params);
   ASSERT_EQ(got.size(), frames.size());
-  for (std::size_t f = 0; f < frames.size(); ++f)
-    expect_identical(got[f], reference.next_frame(frames[f]),
+  for (std::size_t f = 0; f < frames.size(); ++f) {
+    Instrumentation instr;
+    expect_identical(got[f], reference.next_frame(frames[f], &instr),
                      "frame " + std::to_string(f));
+    EXPECT_GT(instr.final_label_count, 0u) << f;
+    EXPECT_EQ(events[f].final_labels, instr.final_label_count) << f;
+    EXPECT_EQ(events[f].pixels_relabelled, instr.pixels_relabelled) << f;
+  }
 }
 
 // A stream with a latency SLO the engine cannot possibly meet must burn its

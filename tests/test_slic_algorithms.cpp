@@ -129,6 +129,7 @@ TEST(CpaSlic, PhaseTimerCoversAllPhases) {
   EXPECT_GT(phases.phase_ms(CpaSlic::kPhaseColorConversion), 0.0);
   EXPECT_GT(phases.phase_ms(CpaSlic::kPhaseDistanceMin), 0.0);
   EXPECT_GT(phases.phase_ms(CpaSlic::kPhaseCenterUpdate), 0.0);
+  EXPECT_GT(phases.phase_ms(CpaSlic::kPhaseConnectivity), 0.0);
   EXPECT_GT(phases.phase_ms(CpaSlic::kPhaseOther), 0.0);
 }
 
