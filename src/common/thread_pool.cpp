@@ -28,8 +28,8 @@ struct ThreadPool::Impl {
   // state is reused across jobs and guarded by `mutex`. `job_mutex` is held
   // for a whole job: a second external thread submitting concurrently
   // fails the try_lock and runs its chunks serially on itself instead
-  // (e.g. the video pipeline's conversion thread overlapping a clustering
-  // job that owns the pool).
+  // (e.g. a direct segmenter call on one thread while an engine's scheduler
+  // thread owns the pool).
   std::mutex job_mutex;
   std::mutex mutex;
   std::condition_variable work_ready;
