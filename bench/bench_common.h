@@ -27,7 +27,6 @@
 #endif
 
 #include "common/cli.h"
-#include "common/perf_counters.h"
 #include "common/simd.h"
 #include "common/stopwatch.h"
 #include "common/table.h"
@@ -390,12 +389,11 @@ class GateMetrics {
 };
 
 /// Per-phase roofline summary rows shared by the benches: analytic
-/// arithmetic intensity plus counter-measured IPC and DRAM traffic when the
-/// perf backend is live (omitted when degraded). `elapsed_ms` is the wall
-/// time the analytic bytes/ops were accumulated over, so achieved GB/s and
-/// GOP/s can be derived.
+/// arithmetic intensity, op and byte counts. `elapsed_ms` is the wall time
+/// the analytic bytes/ops were accumulated over, so achieved GB/s and GOP/s
+/// can be derived.
 inline Json roofline_json(double analytic_ops, double analytic_bytes,
-                          double elapsed_ms, const perf::Delta& counters) {
+                          double elapsed_ms) {
   const double seconds = elapsed_ms / 1e3;
   Json row = Json::object();
   row.set("analytic_ops", analytic_ops)
@@ -407,20 +405,6 @@ inline Json roofline_json(double analytic_ops, double analytic_bytes,
            seconds > 0.0 ? analytic_ops / seconds / 1e9 : 0.0)
       .set("analytic_gb_per_s",
            seconds > 0.0 ? analytic_bytes / seconds / 1e9 : 0.0);
-  if (counters.has(perf::Event::kCycles) &&
-      counters.has(perf::Event::kInstructions)) {
-    row.set("ipc", counters.ipc());
-    row.set("instructions", counters[perf::Event::kInstructions]);
-    row.set("cycles", counters[perf::Event::kCycles]);
-  }
-  if (counters.has(perf::Event::kLlcMisses)) {
-    const double measured_bytes = counters.dram_bytes();
-    row.set("measured_dram_bytes", measured_bytes);
-    row.set("measured_gb_per_s",
-            seconds > 0.0 ? measured_bytes / seconds / 1e9 : 0.0);
-    if (analytic_bytes > 0.0)
-      row.set("measured_vs_analytic_bytes", measured_bytes / analytic_bytes);
-  }
   return row;
 }
 

@@ -85,13 +85,10 @@ int main(int argc, char** argv) {
     Arm fused;
     Arm two_pass;
     bool identical = true;
-    perf::Delta fused_counters;  ///< calling-thread counters, timed frames
-    int fused_counter_frames = 0;
     double fused_ops_per_frame = 0.0;    ///< analytic, one segment() call
     double fused_bytes_per_frame = 0.0;
   };
   std::vector<Point> points;
-  std::cout << "perf: " << perf::status() << '\n';
 
   const double n = static_cast<double>(width) * height;
   const double expected_saving = n * (MemTraffic::kLabBytes + MemTraffic::kLabelBytes);
@@ -115,21 +112,10 @@ int main(int argc, char** argv) {
         FusionGuard guard(fused);
         Segmentation& result = fused ? fused_result : two_pass_result;
         Instrumentation& instr = fused ? fused_instr : two_pass_instr;
-        perf::Delta frame_counters;
         Stopwatch watch;
-        {
-          // Counters are per-thread; this samples the calling thread, which
-          // executes its share of every parallel region alongside the pool.
-          perf::ScopedSample sample(&frame_counters);
-          slic.segment_lab_into(lab, result, scratch, {}, &instr);
-        }
-        if (f >= 0) {
+        slic.segment_lab_into(lab, result, scratch, {}, &instr);
+        if (f >= 0)
           (fused ? fused_times : two_pass_times).push_back(watch.elapsed_ms());
-          if (fused && frame_counters.has(perf::Event::kCycles)) {
-            point.fused_counters += frame_counters;
-            point.fused_counter_frames += 1;
-          }
-        }
       }
     }
     point.fused.ms = median(std::move(fused_times));
@@ -171,27 +157,9 @@ int main(int argc, char** argv) {
             << Table::si(expected_saving, 1) << "B)\n";
 
   // Per-frame roofline at the max-thread point: the analytic op/byte counts
-  // of the last fused run against its median wall time, with calling-thread
-  // counter measurements alongside when the perf backend is live.
-  perf::Delta per_frame_counters;
-  if (last.fused_counter_frames > 0) {
-    per_frame_counters = last.fused_counters;
-    for (auto& v : per_frame_counters.value)
-      v /= static_cast<double>(last.fused_counter_frames);
-  }
+  // of the last fused run against its median wall time.
   const double analytic_ops = last.fused_ops_per_frame;
   const double analytic_bytes = last.fused_bytes_per_frame;
-  if (per_frame_counters.has(perf::Event::kCycles)) {
-    std::cout << "roofline (fused, per frame): "
-              << Table::num(analytic_ops / std::max(1.0, analytic_bytes), 2)
-              << " ops/B analytic intensity, IPC "
-              << Table::num(per_frame_counters.ipc(), 2);
-    if (per_frame_counters.has(perf::Event::kLlcMisses))
-      std::cout << ", measured DRAM "
-                << Table::si(per_frame_counters.dram_bytes(), 1) << "B vs "
-                << Table::si(analytic_bytes, 1) << "B analytic";
-    std::cout << '\n';
-  }
 
   bench::GateMetrics gate;
   // Wall-clock metrics get a wide tolerance (shared CI runners); the
@@ -228,9 +196,7 @@ int main(int argc, char** argv) {
            bench::Json::object().set("cpa_two_pass", 318).set("ppa", 100))
       .set("sweep", std::move(sweep))
       .set("roofline",
-           bench::roofline_json(analytic_ops, analytic_bytes, last.fused.ms,
-                                per_frame_counters))
-      .set("perf_status", perf::status())
+           bench::roofline_json(analytic_ops, analytic_bytes, last.fused.ms))
       .set("gate", gate.json())
       .set("machine", bench::machine_json())
       .write_file("BENCH_fused_iteration.json");

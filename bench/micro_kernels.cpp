@@ -4,10 +4,8 @@
 // iterations, the quality metrics, and connectivity enforcement.
 //
 // After the google-benchmark pass, a custom main() runs one instrumented
-// CPA and PPA frame with perf counters armed and prints a per-phase
-// roofline summary: counter-measured cycles/IPC/DRAM bytes per phase next
-// to the analytic Instrumentation op and byte counts. Degrades to the
-// analytic-only view when the perf backend is unavailable.
+// CPA and PPA frame and prints an analytic roofline summary: the
+// Instrumentation op and byte counts against the measured wall time.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -291,15 +289,12 @@ void BM_ConnectivityEnforcement(benchmark::State& state) {
 }
 BENCHMARK(BM_ConnectivityEnforcement);
 
-// Runs one instrumented CPA frame and one PPA frame with perf counters
-// armed, then prints every recorded perf phase (cycles, IPC, cache misses,
-// measured DRAM bytes) next to the analytic per-frame op/byte totals.
+// Runs one instrumented CPA frame and one PPA frame and prints their
+// analytic per-frame op/byte totals against the measured wall time.
 void roofline_summary() {
   std::cout << "\n==================================================================\n"
             << "per-phase roofline summary (BSDS frame, K=900, 4 iterations)\n"
-            << "perf: " << perf::status() << '\n'
             << "==================================================================\n";
-  perf::reset_phases();
 
   const GroundTruthImage& gt = test_image();
   SlicParams params;
@@ -316,30 +311,6 @@ void roofline_summary() {
   Stopwatch ppa_watch;
   (void)PpaSlic(params).segment(gt.image, {}, &ppa_instr);
   const double ppa_ms = ppa_watch.elapsed_ms();
-
-  const bool counters = perf::available();
-  Table table("counter-measured phases (calling thread)");
-  table.set_header({"phase", "samples", "cycles", "IPC", "LLC mpki",
-                    "DRAM bytes"});
-  for (const perf::PhaseAccum* accum : perf::phases()) {
-    if (accum->samples() == 0) continue;
-    const perf::Delta d = accum->total();
-    const auto cell = [](double v, int digits) {
-      return v != v ? std::string("-") : Table::num(v, digits);
-    };
-    table.add_row({accum->name(), std::to_string(accum->samples()),
-                   d.has(perf::Event::kCycles)
-                       ? Table::si(d[perf::Event::kCycles], 1)
-                       : "-",
-                   cell(d.ipc(), 2), cell(d.mpki(perf::Event::kLlcMisses), 2),
-                   d.has(perf::Event::kLlcMisses)
-                       ? Table::si(d.dram_bytes(), 1) + "B"
-                       : "-"});
-  }
-  if (counters)
-    std::cout << table;
-  else
-    std::cout << "(counter table skipped — analytic roofline only)\n";
 
   Table analytic("analytic roofline per frame (Instrumentation convention)");
   analytic.set_header(

@@ -1,24 +1,21 @@
-// Tracing-span and perf-counter overhead on the CPA S-SLIC hot path.
+// Tracing-span overhead on the CPA S-SLIC hot path.
 //
 // Runs the CPA software segmenter on a 1080p synthetic frame with tracing
 // (a) disarmed — one relaxed atomic load per span site — (b) armed at
-// the default detail level, (c) tracing disarmed but hardware perf
-// counters armed (two read syscalls per sampled scope), (d) the live
-// ops plane armed: flight-recorder rings recording at every span site plus
-// the introspection server running with an aggressive snapshot cadence,
-// and (e) per-frame causal observability armed: tracing plus an ambient
-// frame context (TLS read per recorded span), an exemplar-tagged histogram
-// record, and one wide frame event per frame (common/frame_log.h).
+// the default detail level, (c) the live ops plane armed: flight rings
+// recording at every span site plus the introspection server running with
+// an aggressive snapshot cadence, and (d) per-frame causal observability
+// armed: tracing plus an ambient frame context (TLS read per recorded
+// span), an exemplar-tagged histogram record, and one wide frame event per
+// frame (common/frame_log.h). Trace and flight spans share one per-thread
+// ring table (common/span_ring.h); the arms differ in which rings record.
 // Reports ns/pixel plus each armed/disarmed overhead ratio. The acceptance
-// budget for the default armed trace, armed perf counters, the armed
-// ops plane, AND the frame-context arm is <3% each
+// budget for the default armed trace, the armed ops plane, AND the
+// frame-context arm is <3% each
 // (per-iteration and per-band spans only; per-center and per-kernel-call
 // spans cost more and are opt-in via SSLIC_TRACE_DETAIL). A build with
 // -DSSLIC_TRACING=OFF compiles every span away; the artifact records which
-// mode the binary was built in so CI can compare all three. When the perf
-// backend is degraded (container, no PMU, SSLIC_PERF=0), the perf mode
-// measures the no-op fallback — expected ~0% — and the artifact records
-// the degradation.
+// mode the binary was built in so CI can compare all three.
 //
 // Labels are cross-checked between all modes — telemetry must never
 // perturb results, only observe them.
@@ -88,13 +85,9 @@ int main(int argc, char** argv) {
   const CpaSlic slic(params);
 
   // Ensure a clean session: no env-armed dump interferes with the timing,
-  // and every armed rep starts from an empty buffer so recording (not
-  // buffer-full dropping) is what gets measured. Perf counters start
-  // disarmed so the baseline mode pays only the relaxed-load check.
+  // and every armed rep starts from an empty ring so recording (not
+  // ring-full dropping) is what gets measured.
   trace::disarm();
-  const bool perf_available = perf::available();
-  perf::set_enabled(false);
-  std::cout << "perf: " << perf::status() << '\n';
 
   // Untimed warm-up so the first timed mode doesn't absorb cold caches,
   // lazy allocations, and page faults on behalf of the other.
@@ -108,23 +101,20 @@ int main(int argc, char** argv) {
   struct Mode {
     const char* key = "";
     bool trace_armed = false;
-    bool perf_armed = false;
     bool ops_armed = false;
     bool frame_ctx = false;
     double ms = 0.0;
     LabelImage labels;
   };
-  std::vector<Mode> modes(5);
+  std::vector<Mode> modes(4);
   modes[0].key = "disarmed";
   modes[1].key = "trace_armed";
   modes[1].trace_armed = true;
-  modes[2].key = "perf_armed";
-  modes[2].perf_armed = true;
-  modes[3].key = "ops_armed";
-  modes[3].ops_armed = true;
-  modes[4].key = "framez_armed";
-  modes[4].trace_armed = true;
-  modes[4].frame_ctx = true;
+  modes[2].key = "ops_armed";
+  modes[2].ops_armed = true;
+  modes[3].key = "framez_armed";
+  modes[3].trace_armed = true;
+  modes[3].frame_ctx = true;
 
   // Per-frame causal-observability arm: the exemplar-tagged latency record
   // and the wide frame event land here, inside the timed region, exactly as
@@ -155,7 +145,6 @@ int main(int argc, char** argv) {
       }
       ops::set_flight_enabled(modes[m].ops_armed);
       trace::set_armed(modes[m].trace_armed);
-      perf::set_enabled(modes[m].perf_armed);
       Stopwatch watch;
       Segmentation seg;
       if (modes[m].frame_ctx) {
@@ -179,7 +168,6 @@ int main(int argc, char** argv) {
       }
       samples[m].push_back(watch.elapsed_ms());
       trace::set_armed(false);
-      perf::set_enabled(false);
       ops::set_flight_enabled(false);
       ops_server.stop();
       if (f == frames - 1) modes[m].labels = seg.labels;
@@ -187,21 +175,17 @@ int main(int argc, char** argv) {
   }
   for (std::size_t m = 0; m < modes.size(); ++m) modes[m].ms = best(samples[m]);
   trace::reset();
-  perf::reset_phases();
 
   const double disarmed_ms = modes[0].ms;
   const double armed_ms = modes[1].ms;
-  const double perf_ms = modes[2].ms;
-  const double ops_ms = modes[3].ms;
-  const double framez_ms = modes[4].ms;
+  const double ops_ms = modes[2].ms;
+  const double framez_ms = modes[3].ms;
   const double overhead = (armed_ms - disarmed_ms) / disarmed_ms;
-  const double perf_overhead = (perf_ms - disarmed_ms) / disarmed_ms;
   const double ops_overhead = (ops_ms - disarmed_ms) / disarmed_ms;
   const double framez_overhead = (framez_ms - disarmed_ms) / disarmed_ms;
   const bool identical = modes[0].labels.pixels() == modes[1].labels.pixels() &&
                          modes[0].labels.pixels() == modes[2].labels.pixels() &&
-                         modes[0].labels.pixels() == modes[3].labels.pixels() &&
-                         modes[0].labels.pixels() == modes[4].labels.pixels();
+                         modes[0].labels.pixels() == modes[3].labels.pixels();
 
   Table table("1080p CPA frame time by observability mode");
   table.set_header({"mode", "ms/frame", "ns/pixel", "overhead"});
@@ -210,9 +194,6 @@ int main(int argc, char** argv) {
   table.add_row({"trace armed", Table::num(armed_ms, 2),
                  Table::num(armed_ms * 1e6 / pixels, 2),
                  Table::num(overhead * 100.0, 2) + "%"});
-  table.add_row({perf_available ? "perf armed" : "perf armed (degraded no-op)",
-                 Table::num(perf_ms, 2), Table::num(perf_ms * 1e6 / pixels, 2),
-                 Table::num(perf_overhead * 100.0, 2) + "%"});
   table.add_row({ops::compiled() ? "ops armed (flight + server)"
                                  : "ops armed (compiled out)",
                  Table::num(ops_ms, 2), Table::num(ops_ms * 1e6 / pixels, 2),
@@ -225,8 +206,7 @@ int main(int argc, char** argv) {
   std::cout << "labels across modes: "
             << (identical ? "identical" : "DIFFER (bug!)") << '\n'
             << "armed overhead budget: <3% each (measured trace "
-            << Table::num(overhead * 100.0, 2) << "%, perf "
-            << Table::num(perf_overhead * 100.0, 2) << "%, ops "
+            << Table::num(overhead * 100.0, 2) << "%, ops "
             << Table::num(ops_overhead * 100.0, 2) << "%, framez "
             << Table::num(framez_overhead * 100.0, 2) << "%)\n";
 
@@ -245,11 +225,6 @@ int main(int argc, char** argv) {
       .set("armed_ms", armed_ms)
       .set("armed_ns_per_pixel", armed_ms * 1e6 / pixels)
       .set("armed_overhead_fraction", overhead)
-      .set("perf_available", perf_available)
-      .set("perf_status", perf::status())
-      .set("perf_armed_ms", perf_ms)
-      .set("perf_armed_ns_per_pixel", perf_ms * 1e6 / pixels)
-      .set("perf_armed_overhead_fraction", perf_overhead)
       .set("ops_compiled", ops::compiled())
       .set("ops_armed_ms", ops_ms)
       .set("ops_armed_ns_per_pixel", ops_ms * 1e6 / pixels)
@@ -262,7 +237,6 @@ int main(int argc, char** argv) {
            bench::GateMetrics()
                .lower_is_better("disarmed_ms", disarmed_ms, "ms", 0.25)
                .lower_is_better("trace_armed_ms", armed_ms, "ms", 0.25)
-               .lower_is_better("perf_armed_ms", perf_ms, "ms", 0.25)
                .lower_is_better("ops_armed_ms", ops_ms, "ms", 0.25)
                .lower_is_better("framez_armed_ms", framez_ms, "ms", 0.25)
                .json())

@@ -282,7 +282,6 @@ int main(int argc, char** argv) {
       .set("identical_to_monolithic", identical)
       .set("ooc_checked", ooc_check)
       .set("ooc_ok", ooc_ok)
-      .set("perf_status", perf::status())
       .set("gate", gate.json())
       .set("machine", bench::machine_json())
       .write_file("BENCH_tiled_streaming.json");

@@ -16,8 +16,7 @@
 //
 // Soak monitoring (long-run observability): `--monitor=out.jsonl` appends
 // one JSON line every `--monitor-every=N` frames (default 20) with latency
-// percentiles, cumulative fps, counter-derived IPC (null when the perf
-// backend is degraded), heap-allocation deltas, and thread-pool stats —
+// percentiles, cumulative fps, heap-allocation deltas, and thread-pool stats —
 // point a dashboard or a validation script at the file while a long run is
 // in flight. `--prom=out.prom` additionally rewrites a Prometheus
 // text-exposition dump of the full metrics registry at every snapshot (the
@@ -61,7 +60,6 @@
 #include "common/frame_log.h"
 #include "common/logging.h"
 #include "common/ops_server.h"
-#include "common/perf_counters.h"
 #include "common/rng.h"
 #include "common/simd.h"
 #include "common/stopwatch.h"
@@ -111,8 +109,7 @@ double label_agreement(const LabelImage& a, const LabelImage& b) {
   return static_cast<double>(agree) / static_cast<double>(total);
 }
 
-/// A JSON number, or null for NaN/inf — the degraded-counter marker. JSON
-/// has no NaN literal, so consumers see `"ipc": null` when counters are off.
+/// A JSON number, or null for NaN/inf (JSON has no NaN literal).
 std::string jnum(double v) {
   if (!std::isfinite(v)) return "null";
   std::ostringstream s;
@@ -138,18 +135,17 @@ class SoakMonitor {
   [[nodiscard]] bool ok() const { return !failed_; }
   [[nodiscard]] const std::string& jsonl_path() const { return jsonl_path_; }
 
-  /// One snapshot after `frames_done` frames. `window` holds the counter
-  /// delta accumulated since the previous snapshot; `window_allocs` the
-  /// warm pipeline's heap allocations in that window (must be 0 once
-  /// steady); `steady` whether the window lies entirely in the warm steady
-  /// state (frame 2 onward). `stream_id` tags the snapshot with its engine
+  /// One snapshot after `frames_done` frames. `window_allocs` holds the
+  /// warm pipeline's heap allocations since the previous snapshot (must be
+  /// 0 once steady); `steady` whether the window lies entirely in the warm
+  /// steady state (frame 2 onward). `stream_id` tags the snapshot with its engine
   /// stream (additive field; this pipeline drives stream 0) so multi-stream
   /// soak tooling can split per stream.
   void snapshot(int frames_done, int stream_id, double elapsed_s,
                 const telemetry::Histogram& golden,
                 const telemetry::Histogram& warm, double golden_total_ms,
-                double warm_total_ms, const perf::Delta& window,
-                std::uint64_t window_allocs, bool steady) {
+                double warm_total_ms, std::uint64_t window_allocs,
+                bool steady) {
     if (jsonl_.is_open()) {
       const ThreadPool& pool = ThreadPool::global();
       std::uint64_t busy_ns = 0;
@@ -169,15 +165,6 @@ class SoakMonitor {
            << ", \"golden_fps\": "
            << jnum(1000.0 * frames_done / golden_total_ms)
            << ", \"warm_fps\": " << jnum(1000.0 * frames_done / warm_total_ms)
-           << ", \"ipc\": " << jnum(window.ipc())
-           << ", \"cycles\": "
-           << (window.has(perf::Event::kCycles)
-                   ? jnum(window[perf::Event::kCycles])
-                   : "null")
-           << ", \"llc_misses\": "
-           << (window.has(perf::Event::kLlcMisses)
-                   ? jnum(window[perf::Event::kLlcMisses])
-                   : "null")
            << ", \"heap_allocs_total\": " << alloc_counter::allocations()
            << ", \"warm_heap_allocs_window\": " << window_allocs
            << ", \"steady_state\": " << (steady ? "true" : "false")
@@ -200,7 +187,6 @@ class SoakMonitor {
       telemetry::MetricsRegistry& registry = telemetry::MetricsRegistry::global();
       telemetry::export_thread_pool(ThreadPool::global(), registry);
       telemetry::export_allocations(registry);
-      perf::export_phases(registry);
       const std::string tmp_path = prom_path_ + ".tmp";
       bool written = false;
       {
@@ -294,7 +280,7 @@ int main(int argc, char** argv) {
   SoakMonitor monitor(monitor_path, prom_path);
   if (monitor.active())
     std::cout << "soak monitor: snapshot every " << monitor_every
-              << " frames; " << perf::status() << '\n';
+              << " frames\n";
   if (!trace_path.empty()) {
     if (trace::compiled()) {
       trace::arm(trace_path);
@@ -414,10 +400,9 @@ int main(int argc, char** argv) {
   // on the count must be 0.
   std::vector<std::uint64_t> warm_allocs;
   warm_allocs.reserve(static_cast<std::size_t>(frames));
-  // Soak-window state: counter delta, allocation delta, and steadiness of
-  // the frames since the previous snapshot.
+  // Soak-window state: allocation delta and steadiness of the frames since
+  // the previous snapshot.
   Stopwatch soak_watch;
-  perf::Delta soak_window;
   std::uint64_t soak_window_warm_allocs = 0;
   int soak_window_first_frame = 0;
   for (int f = 0; f < frames; ++f) {
@@ -429,48 +414,40 @@ int main(int argc, char** argv) {
     SSLIC_TRACE_SCOPE("frame", f);
     ops::heartbeat();  // /healthz watchdog: one beat per frame
     const auto fi = static_cast<std::size_t>(f);
-    perf::Delta frame_counters;
     Stopwatch watch;
     double ms = 0.0;
     Segmentation seg;
     double warm_ms = 0.0;
     const Segmentation* warm_ptr = nullptr;
     {
-      // One scoped sample covers both segmenters: the calling thread's
-      // cycles/instructions/misses for the whole frame.
-      perf::ScopedSample frame_sample(&frame_counters);
-      {
-        SSLIC_TRACE_SCOPE("frame.golden", f);
-        seg = segmenter.segment(stream[fi]);
-        ms = watch.elapsed_ms();
-      }
-      Stopwatch warm_watch;
-      {
-        SSLIC_TRACE_SCOPE("frame.warm", f);
-        const std::uint64_t allocs_before = alloc_counter::allocations();
-        const engine::SubmitResult submitted =
-            warm_engine.submit(warm_stream, stream[fi]);
-        warm_engine.wait(submitted.ticket);
-        warm_ptr = warm_engine.last_result(warm_stream);
-        warm_allocs.push_back(alloc_counter::allocations() - allocs_before);
-        warm_ms = warm_watch.elapsed_ms();
-      }
+      SSLIC_TRACE_SCOPE("frame.golden", f);
+      seg = segmenter.segment(stream[fi]);
+      ms = watch.elapsed_ms();
+    }
+    Stopwatch warm_watch;
+    {
+      SSLIC_TRACE_SCOPE("frame.warm", f);
+      const std::uint64_t allocs_before = alloc_counter::allocations();
+      const engine::SubmitResult submitted =
+          warm_engine.submit(warm_stream, stream[fi]);
+      warm_engine.wait(submitted.ticket);
+      warm_ptr = warm_engine.last_result(warm_stream);
+      warm_allocs.push_back(alloc_counter::allocations() - allocs_before);
+      warm_ms = warm_watch.elapsed_ms();
     }
     total_ms += ms;
     frame_hist.record(ms);
     const Segmentation& warm = *warm_ptr;
     warm_total_ms += warm_ms;
     warm_hist.record(warm_ms);
-    soak_window += frame_counters;
     soak_window_warm_allocs += warm_allocs.back();
 
     if (monitor.active() &&
         ((f + 1) % monitor_every == 0 || f == frames - 1)) {
       monitor.snapshot(f + 1, /*stream_id=*/0, soak_watch.elapsed_ms() / 1e3,
                        frame_hist, warm_hist, total_ms, warm_total_ms,
-                       soak_window, soak_window_warm_allocs,
+                       soak_window_warm_allocs,
                        /*steady=*/soak_window_first_frame >= 2);
-      soak_window = perf::Delta{};
       soak_window_warm_allocs = 0;
       soak_window_first_frame = f + 1;
     }
@@ -597,11 +574,9 @@ int main(int argc, char** argv) {
             << "  real-time (30 fps): " << (r.real_time() ? "yes" : "no")
             << "; wrote video_frame0_boundaries.ppm\n";
 
-  // --- Telemetry summary: tail latency, pool utilisation, allocations,
-  // and per-phase perf counters. ---
+  // --- Telemetry summary: tail latency, pool utilisation, allocations. ---
   telemetry::export_thread_pool(ThreadPool::global(), registry);
   telemetry::export_allocations(registry);
-  perf::export_phases(registry);
   std::cout << "\nframe latency (golden model, " << frame_hist.count()
             << " frames): p50 " << Table::num(frame_hist.p50(), 1) << " ms, p95 "
             << Table::num(frame_hist.p95(), 1) << " ms, p99 "

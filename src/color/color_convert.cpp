@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/perf_counters.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
 
@@ -64,7 +63,6 @@ LabImage srgb_to_lab(const RgbImage& image) {
 
 void srgb_to_lab(const RgbImage& image, LabImage& lab) {
   SSLIC_TRACE_SCOPE("color.srgb_to_lab");
-  SSLIC_PERF_SCOPE("color.srgb_to_lab");
   if (lab.width() != image.width() || lab.height() != image.height())
     lab = LabImage(image.width(), image.height());
   // Pure per-pixel map: identical output for any range partition.

@@ -1,6 +1,5 @@
 #include "common/flight_recorder.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -8,7 +7,7 @@
 #include <exception>
 #include <limits>
 #include <mutex>
-#include <new>
+#include <sstream>
 #include <string>
 
 #if SSLIC_OPS_ENABLED
@@ -17,7 +16,7 @@
 #include <unistd.h>
 #endif
 
-#include "common/logging.h"
+#include "common/span_ring.h"
 #include "common/telemetry.h"
 #include "common/trace.h"
 
@@ -26,87 +25,6 @@ namespace sslic::ops {
 #if SSLIC_OPS_ENABLED
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// Per-thread flight rings.
-// ---------------------------------------------------------------------------
-
-/// One retained span. Every field is a relaxed atomic so a reader racing a
-/// wrapping writer sees a torn *event* at worst (fields from two spans),
-/// never a data race: the name is always some static-storage string.
-struct FlightEvent {
-  std::atomic<const char*> name{nullptr};
-  std::atomic<std::uint64_t> begin_ns{0};
-  std::atomic<std::uint64_t> end_ns{0};
-  std::atomic<std::int64_t> arg{0};
-  std::atomic<std::uint64_t> trace_id{0};  // frame context, 0 = none
-};
-
-struct FlightRing {
-  FlightEvent* slots = nullptr;
-  std::size_t capacity = 0;
-  /// Total spans ever written by this thread; slot index = head % capacity.
-  /// Published with release so readers below an acquire load see complete
-  /// slots for every unwrapped index.
-  std::atomic<std::uint64_t> head{0};
-  int tid = 0;
-};
-
-/// Fixed-size lock-free ring table: the crash handler must walk it without
-/// taking a mutex. Registration is an atomic slot claim; rings are never
-/// freed (dumps must see exited threads).
-constexpr std::size_t kMaxRings = 512;
-std::atomic<FlightRing*> g_rings[kMaxRings];
-std::atomic<std::size_t> g_ring_count{0};
-std::atomic<std::uint64_t> g_spans_recorded{0};
-
-std::size_t ring_capacity() {
-  static const std::size_t capacity = [] {
-    if (const char* env = std::getenv("SSLIC_FLIGHT_EVENTS")) {
-      char* end = nullptr;
-      const long parsed = std::strtol(env, &end, 10);
-      if (end != env && *end == '\0' && parsed >= 256 && parsed <= (1L << 20))
-        return static_cast<std::size_t>(parsed);
-    }
-    return static_cast<std::size_t>(2048);
-  }();
-  return capacity;
-}
-
-/// Sentinel for threads that could not register (table full): recording is
-/// silently dropped rather than retried every span.
-FlightRing g_dropped_ring;
-
-thread_local FlightRing* t_flight_ring = nullptr;
-
-FlightRing* acquire_ring() {
-  const std::size_t index = g_ring_count.fetch_add(1, std::memory_order_relaxed);
-  if (index >= kMaxRings) {
-    t_flight_ring = &g_dropped_ring;
-    return t_flight_ring;
-  }
-  const std::size_t capacity = ring_capacity();
-  // malloc + placement-new, not operator new: the rings are process-lifetime
-  // infrastructure and must stay outside the zero-allocation steady-state
-  // accounting (common/alloc_counter.h counts operator new only).
-  auto* ring = static_cast<FlightRing*>(std::malloc(sizeof(FlightRing)));
-  auto* slots = static_cast<FlightEvent*>(
-      std::malloc(sizeof(FlightEvent) * capacity));
-  if (ring == nullptr || slots == nullptr) {
-    std::free(ring);
-    std::free(slots);
-    t_flight_ring = &g_dropped_ring;
-    return t_flight_ring;
-  }
-  new (ring) FlightRing;
-  for (std::size_t i = 0; i < capacity; ++i) new (slots + i) FlightEvent;
-  ring->slots = slots;
-  ring->capacity = capacity;
-  ring->tid = static_cast<int>(index);
-  g_rings[index].store(ring, std::memory_order_release);
-  t_flight_ring = ring;
-  return ring;
-}
 
 // ---------------------------------------------------------------------------
 // Pre-serialized registry snapshots (what the crash handler dumps verbatim).
@@ -319,111 +237,32 @@ void set_flight_enabled(bool enabled) {
   trace::set_flight_recording(enabled);
 }
 
-std::size_t flight_capacity_per_thread() { return ring_capacity(); }
+std::size_t flight_capacity_per_thread() { return kFlightCapacity; }
 
 std::uint64_t flight_spans_recorded() {
-  return g_spans_recorded.load(std::memory_order_relaxed);
+  std::uint64_t total = 0;
+  spans::for_each_thread([&](const spans::ThreadSpans& thread) {
+    total += thread.flight.written();
+  });
+  return total;
 }
 
 std::size_t flight_threads() {
-  return std::min(g_ring_count.load(std::memory_order_acquire), kMaxRings);
+  std::size_t rings = 0;
+  spans::for_each_thread([&](const spans::ThreadSpans& thread) {
+    if (thread.flight.allocated()) ++rings;
+  });
+  return rings;
 }
-
-namespace detail {
-
-void record_flight(const char* name, std::uint64_t begin_ns,
-                   std::uint64_t end_ns, std::int64_t arg,
-                   std::uint64_t trace_id) {
-  FlightRing* ring = t_flight_ring;
-  if (ring == nullptr) ring = acquire_ring();
-  if (ring->slots == nullptr) return;  // registry full / allocation failed
-  const std::uint64_t head = ring->head.load(std::memory_order_relaxed);
-  FlightEvent& slot = ring->slots[head % ring->capacity];
-  slot.name.store(name, std::memory_order_relaxed);
-  slot.begin_ns.store(begin_ns, std::memory_order_relaxed);
-  slot.end_ns.store(end_ns, std::memory_order_relaxed);
-  slot.arg.store(arg, std::memory_order_relaxed);
-  slot.trace_id.store(trace_id, std::memory_order_relaxed);
-  ring->head.store(head + 1, std::memory_order_release);
-  g_spans_recorded.fetch_add(1, std::memory_order_relaxed);
-}
-
-}  // namespace detail
-
-namespace {
-
-void append_escaped(std::string& out, const char* s) {
-  for (std::size_t i = 0; s[i] != '\0'; ++i) {
-    const char c = s[i];
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) >= 0x20) out.push_back(c);
-  }
-}
-
-}  // namespace
 
 void flight_serialize_chrome(std::string& out) {
-  out += "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [";
-  bool first = true;
-  char buf[160];
-  const std::size_t rings = flight_threads();
-  for (std::size_t r = 0; r < rings; ++r) {
-    const FlightRing* ring = g_rings[r].load(std::memory_order_acquire);
-    if (ring == nullptr || ring->slots == nullptr) continue;
-    const std::uint64_t head = ring->head.load(std::memory_order_acquire);
-    const std::uint64_t retained =
-        std::min<std::uint64_t>(head, ring->capacity);
-    for (std::uint64_t i = head - retained; i < head; ++i) {
-      const FlightEvent& e = ring->slots[i % ring->capacity];
-      const char* name = e.name.load(std::memory_order_relaxed);
-      if (name == nullptr) continue;
-      const std::uint64_t begin = e.begin_ns.load(std::memory_order_relaxed);
-      const std::uint64_t end = e.end_ns.load(std::memory_order_relaxed);
-      const std::int64_t arg = e.arg.load(std::memory_order_relaxed);
-      out += first ? "\n" : ",\n";
-      first = false;
-      out += "{\"name\": \"";
-      append_escaped(out, name);
-      std::snprintf(buf, sizeof(buf),
-                    "\", \"ph\": \"X\", \"cat\": \"flight\", \"pid\": 1, "
-                    "\"tid\": %d, \"ts\": %.3f, \"dur\": %.3f",
-                    ring->tid, static_cast<double>(begin) / 1000.0,
-                    static_cast<double>(end >= begin ? end - begin : 0) / 1000.0);
-      out += buf;
-      const std::uint64_t frame = e.trace_id.load(std::memory_order_relaxed);
-      if (arg != trace::kNoArg || frame != 0) {
-        out += ", \"args\": {";
-        bool first_arg = true;
-        if (arg != trace::kNoArg) {
-          out += "\"n\": ";
-          out += std::to_string(arg);
-          first_arg = false;
-        }
-        if (frame != 0) {
-          if (!first_arg) out += ", ";
-          out += "\"trace_id\": ";
-          out += std::to_string(frame);
-        }
-        out += "}";
-      }
-      out += "}";
-    }
-  }
-  out += first ? "" : "\n";
-  out += "]}\n";
+  std::ostringstream os;
+  spans::write_chrome(os, &spans::ThreadSpans::flight, "flight");
+  out += os.str();
 }
 
 void flight_reset() {
-  const std::size_t rings = flight_threads();
-  for (std::size_t r = 0; r < rings; ++r) {
-    FlightRing* ring = g_rings[r].load(std::memory_order_acquire);
-    if (ring == nullptr || ring->slots == nullptr) continue;
-    // Clear names first so a reader between the two stores skips the slot
-    // instead of re-reading stale span data.
-    for (std::size_t i = 0; i < ring->capacity; ++i)
-      ring->slots[i].name.store(nullptr, std::memory_order_relaxed);
-    ring->head.store(0, std::memory_order_release);
-  }
+  spans::for_each_thread([](spans::ThreadSpans& thread) { thread.flight.reset(); });
 }
 
 void snapshot_now() {
@@ -521,51 +360,40 @@ void write_crash_report_to_fd(int fd, int signal_number) {
   ss_puts(fd, ", \"reason\": ");
   ss_put_json_string(fd, g_terminate_reason);
   ss_puts(fd, "},\n\"flight\": {\"spans_recorded\": ");
-  ss_put_u64(fd, g_spans_recorded.load(std::memory_order_relaxed));
+  ss_put_u64(fd, flight_spans_recorded());
   ss_puts(fd, ", \"threads\": ");
   ss_put_u64(fd, static_cast<std::uint64_t>(flight_threads()));
   ss_puts(fd, ", \"capacity_per_thread\": ");
-  ss_put_u64(fd, static_cast<std::uint64_t>(ring_capacity()));
+  ss_put_u64(fd, static_cast<std::uint64_t>(kFlightCapacity));
   ss_puts(fd, ", \"snapshots_taken\": ");
   ss_put_u64(fd, g_snapshot_count.load(std::memory_order_relaxed));
   ss_puts(fd, ", \"heartbeat_ns\": ");
   ss_put_u64(fd, g_heartbeat_ns.load(std::memory_order_relaxed));
   ss_puts(fd, "},\n\"spans\": [");
   bool first = true;
-  const std::size_t rings = flight_threads();
-  for (std::size_t r = 0; r < rings; ++r) {
-    const FlightRing* ring = g_rings[r].load(std::memory_order_acquire);
-    if (ring == nullptr || ring->slots == nullptr) continue;
-    const std::uint64_t head = ring->head.load(std::memory_order_acquire);
-    const std::uint64_t retained =
-        std::min<std::uint64_t>(head, ring->capacity);
-    for (std::uint64_t i = head - retained; i < head; ++i) {
-      const FlightEvent& e = ring->slots[i % ring->capacity];
-      const char* name = e.name.load(std::memory_order_relaxed);
-      if (name == nullptr) continue;
+  spans::for_each_thread([&](const spans::ThreadSpans& thread) {
+    thread.flight.for_each([&](const spans::Span& span) {
       ss_puts(fd, first ? "\n" : ",\n");
       first = false;
       ss_puts(fd, "{\"tid\": ");
-      ss_put_i64(fd, ring->tid);
+      ss_put_i64(fd, thread.tid);
       ss_puts(fd, ", \"name\": ");
-      ss_put_json_string(fd, name);
+      ss_put_json_string(fd, span.name);
       ss_puts(fd, ", \"begin_ns\": ");
-      ss_put_u64(fd, e.begin_ns.load(std::memory_order_relaxed));
+      ss_put_u64(fd, span.begin_ns);
       ss_puts(fd, ", \"end_ns\": ");
-      ss_put_u64(fd, e.end_ns.load(std::memory_order_relaxed));
-      const std::int64_t arg = e.arg.load(std::memory_order_relaxed);
-      if (arg != trace::kNoArg) {
+      ss_put_u64(fd, span.end_ns);
+      if (span.arg != trace::kNoArg) {
         ss_puts(fd, ", \"arg\": ");
-        ss_put_i64(fd, arg);
+        ss_put_i64(fd, span.arg);
       }
-      const std::uint64_t frame = e.trace_id.load(std::memory_order_relaxed);
-      if (frame != 0) {
+      if (span.trace_id != 0) {
         ss_puts(fd, ", \"trace_id\": ");
-        ss_put_u64(fd, frame);
+        ss_put_u64(fd, span.trace_id);
       }
       ss_puts(fd, "}");
-    }
-  }
+    });
+  });
   ss_puts(fd, first ? "" : "\n");
   ss_puts(fd, "],\n\"registry\": ");
   ss_put_registry_snapshot(fd);
@@ -592,11 +420,6 @@ bool install_crash_handler(const std::string&) { return false; }
 bool crash_handler_installed() { return false; }
 const char* crash_dump_path() { return ""; }
 void write_crash_report_to_fd(int, int) {}
-
-namespace detail {
-void record_flight(const char*, std::uint64_t, std::uint64_t, std::int64_t,
-                   std::uint64_t) {}
-}  // namespace detail
 
 #endif  // SSLIC_OPS_ENABLED
 

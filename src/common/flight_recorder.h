@@ -6,22 +6,24 @@
 // when it dies.
 //
 // Relationship to common/trace.h: the flight recorder reuses the span call
-// sites (SSLIC_TRACE_SCOPE and friends) as its instrumentation points but
-// keeps its own storage with the opposite retention policy. The trace
-// buffers are write-once and drop-on-full — exact history until the buffer
-// fills, for offline profiling. The flight rings *wrap* — sliding window of
-// the most recent spans, for forensics. Recording is independent of trace
+// sites (SSLIC_TRACE_SCOPE and friends) as its instrumentation points and
+// shares the trace session's storage (common/span_ring.h): one ring type and
+// one per-thread table, whose entry holds a thread's trace ring and its
+// flight ring, so a thread has one tid everywhere. Only the retention policy
+// differs. A trace ring stops when full — exact history for offline
+// profiling. A flight ring *wraps* — a sliding window of the most recent
+// kFlightCapacity spans, for forensics. Recording is independent of trace
 // arming: the flight bit of the shared recording mode is on by default
 // (`SSLIC_FLIGHT=0` disables; `-DSSLIC_OPS=OFF` compiles the whole plane
-// out), so `--trace` being off does not blind the recorder.
+// out), so `--trace` being off does not blind the recorder. A span is
+// written to both rings when both are on.
 //
-// Concurrency: each recording thread owns one ring registered in a
-// fixed-size lock-free table (never freed, so dumps see exited threads).
-// Every slot field is a relaxed atomic; the writer publishes with a release
-// store on the ring head, readers take an acquire load and walk backwards.
-// A reader racing a wrapping writer can observe a slot whose fields mix two
-// events — acceptable for forensics, and race-free by construction (the
-// TSan CI job covers concurrent record/serialize).
+// Concurrency: every slot field is a relaxed atomic; the writer publishes
+// with a release store on the ring head, readers take an acquire load and
+// walk the retained window. A reader racing a wrapping writer can observe a
+// slot whose fields mix two events — acceptable for forensics, and
+// race-free by construction (the TSan CI job covers concurrent
+// record/serialize).
 //
 // Crash path: install_crash_handler() registers SIGSEGV/SIGABRT/SIGBUS/
 // SIGFPE/SIGILL handlers (plus a std::terminate hook, so an uncaught
@@ -48,6 +50,10 @@ namespace sslic::ops {
 /// compiled in (SSLIC_OPS build option).
 constexpr bool compiled() { return SSLIC_OPS_ENABLED != 0; }
 
+/// Spans each thread's flight ring retains. The ring (80 KiB) is allocated
+/// on the thread's first flight span.
+inline constexpr std::size_t kFlightCapacity = 2048;
+
 /// True while span sites feed the flight rings. Defaults to on
 /// (`SSLIC_FLIGHT=0` in the environment disables at startup).
 bool flight_enabled();
@@ -56,16 +62,16 @@ bool flight_enabled();
 /// sites poll). Benches use this to A/B the always-on cost.
 void set_flight_enabled(bool enabled);
 
-/// Ring capacity in spans per recording thread (`SSLIC_FLIGHT_EVENTS`
-/// environment override, default 2048, clamped to [256, 1Mi]).
+/// Ring capacity in spans per recording thread: kFlightCapacity, or 0 when
+/// the plane is compiled out.
 std::size_t flight_capacity_per_thread();
 
 /// Total spans recorded into flight rings since process start (wrapping
 /// overwrites still count; this is the write total, not the retained count).
 std::uint64_t flight_spans_recorded();
 
-/// Number of rings registered (== threads that have recorded at least one
-/// flight span).
+/// Number of flight rings in use (== threads that have recorded at least
+/// one flight span).
 std::size_t flight_threads();
 
 /// Appends the retained spans of every ring as a complete Chrome
@@ -116,18 +122,5 @@ const char* crash_dump_path();
 /// normal (non-signal) context. Exposed for tests; the signal handler calls
 /// the identical code.
 void write_crash_report_to_fd(int fd, int signal_number);
-
-namespace detail {
-/// Span-site hook called by trace::detail::record when the flight bit of
-/// the recording mode is set. Lock-free; never allocates through operator
-/// new (rings are malloc-backed so the zero-allocation steady-state
-/// accounting of the video pipeline is not disturbed). `trace_id` is the
-/// recording thread's ambient frame context (0 = none), surfaced in
-/// /tracez and the crash report so forensic spans name the frame they
-/// served.
-void record_flight(const char* name, std::uint64_t begin_ns,
-                   std::uint64_t end_ns, std::int64_t arg,
-                   std::uint64_t trace_id);
-}  // namespace detail
 
 }  // namespace sslic::ops

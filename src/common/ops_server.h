@@ -11,11 +11,13 @@
 //   /healthz  Liveness JSON; reports the heartbeat age and flips to HTTP
 //             503 when a configured watchdog deadline is exceeded.
 //   /varz     The full registry as JSON (every counter/gauge/histogram).
-//   /statusz  Build + configuration: version, compiled options, flight
-//             recorder state, plus pluggable sections registered by other
-//             layers (register_statusz_section — src/slic contributes its
-//             dispatch/assign/fusion configuration without src/common
-//             depending on it).
+//   /statusz  Build + configuration: version, compiled options, detected
+//             and dispatched ISA, flight recorder and crash handler state,
+//             plus pluggable sections registered by other layers
+//             (register_statusz_section) without src/common depending on
+//             them: src/slic's "slic" (fusion, kernel ISA, pool threads)
+//             and src/engine's "engine" (per-engine stream, queue, batch,
+//             frame, shed and drop counts and limits).
 //   /tracez   The flight recorder's retained spans as Chrome trace-event
 //             JSON (open in Perfetto to see the last seconds of work).
 //

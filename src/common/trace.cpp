@@ -5,12 +5,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <mutex>
 #include <ostream>
-#include <vector>
 
-#include "common/flight_recorder.h"
+#include "common/span_ring.h"
 
 namespace sslic::trace {
 
@@ -58,76 +58,8 @@ void set_mode_bit(unsigned bit, bool on) {
 
 namespace {
 
-struct Event {
-  const char* name;
-  std::uint64_t begin_ns;
-  std::uint64_t end_ns;
-  std::int64_t arg;
-  std::uint64_t trace_id;  // ambient frame context at record time, 0 = none
-};
-
-std::size_t buffer_capacity() {
-  static const std::size_t capacity = [] {
-    if (const char* env = std::getenv("SSLIC_TRACE_BUFFER_EVENTS")) {
-      char* end = nullptr;
-      const long parsed = std::strtol(env, &end, 10);
-      if (end != env && *end == '\0' && parsed >= 1024 && parsed <= (1L << 22))
-        return static_cast<std::size_t>(parsed);
-    }
-    return static_cast<std::size_t>(1) << 16;
-  }();
-  return capacity;
-}
-
-// One per recording thread, registered below and intentionally never freed
-// so dumps can read events of threads that already exited. `events` is
-// allocated lazily on the first record (set_thread_name alone must not cost
-// megabytes); slots are write-once, published via a release store on
-// `count` and read below an acquire load — no wrapping, no locks.
-struct ThreadBuffer {
-  std::vector<Event> events;
-  std::atomic<std::size_t> count{0};
-  std::atomic<std::uint64_t> dropped{0};
-  std::uint64_t last_end_ns = 0;  // producer-private: per-thread monotonizer
-  int tid = 0;
-  std::string name;  // guarded by g_registry_mutex
-};
-
-// Leaked on purpose (like the buffers themselves): the atexit dump runs
-// after function-local statics constructed later than its registration are
-// destroyed, so the registry must never be destroyed at all.
-std::mutex& registry_mutex() {
-  static std::mutex* m = new std::mutex;
-  return *m;
-}
-
-std::vector<ThreadBuffer*>& registry() {
-  static std::vector<ThreadBuffer*>* buffers = new std::vector<ThreadBuffer*>;
-  return *buffers;
-}
-
-thread_local ThreadBuffer* t_buffer = nullptr;
-
-ThreadBuffer& thread_buffer() {
-  if (t_buffer == nullptr) {
-    auto* buffer = new ThreadBuffer;  // process-lifetime, see struct comment
-    const std::lock_guard<std::mutex> lock(registry_mutex());
-    buffer->tid = static_cast<int>(registry().size());
-    registry().push_back(buffer);
-    t_buffer = buffer;
-  }
-  return *t_buffer;
-}
-
 std::mutex g_path_mutex;
 std::string g_path;  // guarded by g_path_mutex
-
-void escape_into(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) >= 0x20) out.push_back(c);
-  }
-}
 
 void dump_at_exit() {
   if ((detail::g_mode.load(std::memory_order_acquire) & detail::kTraceBit) == 0)
@@ -140,11 +72,9 @@ void dump_at_exit() {
   }
   if (path.empty()) return;
   std::size_t events = 0;
-  {
-    const std::lock_guard<std::mutex> lock(registry_mutex());
-    for (const ThreadBuffer* b : registry())
-      events += b->count.load(std::memory_order_acquire);
-  }
+  spans::for_each_thread([&](const spans::ThreadSpans& thread) {
+    thread.trace.for_each([&](const spans::Span&) { ++events; });
+  });
   if (write_file(path)) {
     std::fprintf(stderr, "[trace] wrote %s (%zu events, %llu dropped)\n",
                  path.c_str(), events,
@@ -174,26 +104,16 @@ namespace detail {
 
 void record(const char* name, std::uint64_t begin_ns, std::uint64_t end_ns,
             std::int64_t arg, unsigned mode) {
-  // One TLS read serves both sinks; only reached when some mode bit is set,
-  // so the fully-disarmed span cost is unchanged.
-  const std::uint64_t trace_id = current_trace_id();
-  if ((mode & kFlightBit) != 0)
-    ops::detail::record_flight(name, begin_ns, end_ns, arg, trace_id);
-  if ((mode & kTraceBit) == 0) return;
-  ThreadBuffer& buffer = thread_buffer();
-  if (buffer.events.empty()) buffer.events.resize(buffer_capacity());
-  const std::size_t c = buffer.count.load(std::memory_order_relaxed);
-  if (c >= buffer.events.size()) {
-    buffer.dropped.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
+  spans::ThreadSpans* thread = spans::this_thread();
+  if (thread == nullptr) return;  // registration table full
   // Per-thread strictly-increasing completion times: spans end in program
   // order on one thread, so only equal-nanosecond stamps need nudging.
-  if (end_ns <= buffer.last_end_ns) end_ns = buffer.last_end_ns + 1;
-  buffer.last_end_ns = end_ns;
-  if (begin_ns > end_ns) begin_ns = end_ns;
-  buffer.events[c] = Event{name, begin_ns, end_ns, arg, trace_id};
-  buffer.count.store(c + 1, std::memory_order_release);
+  if (end_ns <= thread->last_end_ns) end_ns = thread->last_end_ns + 1;
+  thread->last_end_ns = end_ns;
+  const spans::Span span{name, std::min(begin_ns, end_ns), end_ns, arg,
+                         current_trace_id()};
+  if ((mode & kFlightBit) != 0) thread->flight.record(span);
+  if ((mode & kTraceBit) != 0) thread->trace.record(span);
 }
 
 }  // namespace detail
@@ -232,64 +152,17 @@ void set_detail_level(int level) {
 }
 
 void set_thread_name(const std::string& name) {
-  ThreadBuffer& buffer = thread_buffer();
-  const std::lock_guard<std::mutex> lock(registry_mutex());
-  buffer.name = name;
+  spans::ThreadSpans* thread = spans::this_thread();
+  if (thread == nullptr) return;
+  // malloc'd and never freed: a concurrent serializer may hold the old name.
+  auto* copy = static_cast<char*>(std::malloc(name.size() + 1));
+  if (copy == nullptr) return;
+  std::memcpy(copy, name.c_str(), name.size() + 1);
+  thread->name.store(copy, std::memory_order_release);
 }
 
 void serialize(std::ostream& os) {
-  const std::lock_guard<std::mutex> lock(registry_mutex());
-  os << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [";
-  bool first = true;
-  std::string line;
-  char buf[160];
-  for (const ThreadBuffer* buffer : registry()) {
-    if (!buffer->name.empty()) {
-      line.clear();
-      line += "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": ";
-      line += std::to_string(buffer->tid);
-      line += ", \"args\": {\"name\": \"";
-      escape_into(line, buffer->name);
-      line += "\"}}";
-      os << (first ? "\n" : ",\n") << line;
-      first = false;
-    }
-    const std::size_t n = std::min(buffer->count.load(std::memory_order_acquire),
-                                   buffer->events.size());
-    for (std::size_t i = 0; i < n; ++i) {
-      const Event& e = buffer->events[i];
-      line.clear();
-      line += "{\"name\": \"";
-      escape_into(line, e.name);
-      // Timestamps in microseconds with nanosecond precision, per the
-      // Chrome trace-event format.
-      std::snprintf(buf, sizeof(buf),
-                    "\", \"ph\": \"X\", \"cat\": \"sslic\", \"pid\": 1, "
-                    "\"tid\": %d, \"ts\": %.3f, \"dur\": %.3f",
-                    buffer->tid, static_cast<double>(e.begin_ns) / 1000.0,
-                    static_cast<double>(e.end_ns - e.begin_ns) / 1000.0);
-      line += buf;
-      if (e.arg != kNoArg || e.trace_id != 0) {
-        line += ", \"args\": {";
-        bool first_arg = true;
-        if (e.arg != kNoArg) {
-          line += "\"n\": ";
-          line += std::to_string(e.arg);
-          first_arg = false;
-        }
-        if (e.trace_id != 0) {
-          if (!first_arg) line += ", ";
-          line += "\"trace_id\": ";
-          line += std::to_string(e.trace_id);
-        }
-        line += "}";
-      }
-      line += "}";
-      os << (first ? "\n" : ",\n") << line;
-      first = false;
-    }
-  }
-  os << (first ? "" : "\n") << "]}\n";
+  spans::write_chrome(os, &spans::ThreadSpans::trace, "sslic");
 }
 
 bool write_file(const std::string& path) {
@@ -300,19 +173,14 @@ bool write_file(const std::string& path) {
 }
 
 void reset() {
-  const std::lock_guard<std::mutex> lock(registry_mutex());
-  for (ThreadBuffer* buffer : registry()) {
-    buffer->count.store(0, std::memory_order_release);
-    buffer->dropped.store(0, std::memory_order_relaxed);
-    // last_end_ns is left alone: the monotonizer must never move backwards.
-  }
+  spans::for_each_thread([](spans::ThreadSpans& thread) { thread.trace.reset(); });
 }
 
 std::uint64_t dropped_events() {
-  const std::lock_guard<std::mutex> lock(registry_mutex());
   std::uint64_t total = 0;
-  for (const ThreadBuffer* buffer : registry())
-    total += buffer->dropped.load(std::memory_order_relaxed);
+  spans::for_each_thread([&](const spans::ThreadSpans& thread) {
+    total += thread.trace.dropped();
+  });
   return total;
 }
 

@@ -1,15 +1,16 @@
 // Low-overhead scoped tracing spans serialized as Chrome trace-event JSON
 // (loadable in Perfetto or chrome://tracing).
 //
-// Recording model: each thread owns a fixed-capacity buffer of complete
-// events ({name, begin_ns, end_ns, arg}); a span writes exactly one event at
-// scope exit, into its own buffer, with no locks on the hot path. Buffers
-// are registered in a process-wide list (and intentionally never freed), so
-// a dump sees events from threads that have already exited. When a buffer
-// fills, further events from that thread are counted as dropped rather than
-// wrapping — slots are write-once, which is what makes concurrent
-// serialization race-free (events are published with a release store on the
-// buffer's count; the reader only touches slots below its acquire load).
+// Recording model: a span writes exactly one event at scope exit
+// ({name, begin_ns, end_ns, arg, trace id}) into its own thread's trace
+// ring, with no locks on the hot path. The rings live in the per-thread span
+// table of common/span_ring.h, which the flight recorder shares (each
+// thread's entry holds its trace ring and its flight ring), and are never
+// freed, so a dump sees events from threads that have already exited. A
+// trace ring holds the first kTraceCapacity spans since the last reset();
+// later events from that thread are counted as dropped rather than
+// wrapping. Slots are write-once, published with a release store on the
+// ring head, and readers touch only slots below their acquire load of it.
 //
 // Arming: spans record only while the session is armed. `SSLIC_TRACE=<path>`
 // in the environment arms at startup and dumps to <path> at process exit;
@@ -21,16 +22,21 @@
 // ...)` and record only when `SSLIC_TRACE_DETAIL` >= level, so the default
 // armed trace stays cheap and small.
 //
+// Stage clock: trace::Interval always reads the clock and returns what it
+// measured, so a segmenter stage feeds its span and its PhaseTimer phase
+// from the same two clock reads.
+//
 // Compile-out: building with -DSSLIC_TRACING=OFF defines
-// SSLIC_TRACING_ENABLED=0; the macros expand to nothing, Span/Interval
-// become empty types, and the session functions compile to stubs — the
-// no-op path is covered by a CI job.
+// SSLIC_TRACING_ENABLED=0; the macros expand to nothing, Span and
+// DetailSpan become empty types, Interval only times, and the session
+// functions compile to stubs — the no-op path is covered by a CI job.
 #pragma once
 
 #ifndef SSLIC_TRACING_ENABLED
 #define SSLIC_TRACING_ENABLED 1
 #endif
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -46,6 +52,10 @@ inline constexpr std::int64_t kNoArg = INT64_MIN;
 
 /// True when spans are compiled in (SSLIC_TRACING build option).
 constexpr bool compiled() { return SSLIC_TRACING_ENABLED != 0; }
+
+/// Spans each thread's trace ring keeps between resets. The ring (2.5 MiB)
+/// is allocated on the thread's first span recorded while armed.
+inline constexpr std::size_t kTraceCapacity = std::size_t{1} << 16;
 
 // ---------------------------------------------------------------------------
 // Frame contexts: a process-wide monotonic 64-bit trace id names one frame's
@@ -126,19 +136,19 @@ void serialize(std::ostream& os);
 /// serialize() to a file; returns false on I/O failure.
 bool write_file(const std::string& path);
 
-/// Discards all recorded events (buffers stay registered). Quiescence
+/// Discards all recorded events (rings stay registered). Quiescence
 /// required, as with serialize().
 void reset();
 
-/// Events lost to full per-thread buffers since the last reset().
+/// Events lost to full per-thread trace rings since the last reset().
 std::uint64_t dropped_events();
 
 #if SSLIC_TRACING_ENABLED
 
 namespace detail {
 /// Recording-mode bitmask polled by every span site: bit 0 = trace session
-/// armed (write-once buffers below), bit 1 = flight recorder enabled
-/// (wrapping forensic rings, common/flight_recorder.h). One relaxed load
+/// armed (stop-on-full trace rings), bit 1 = flight recorder enabled
+/// (wrapping flight rings, common/flight_recorder.h). One relaxed load
 /// covers both consumers, keeping the fully-disarmed span cost identical
 /// to the original single-flag design.
 inline constexpr unsigned kTraceBit = 1u;
@@ -196,27 +206,6 @@ class DetailSpan {
   std::uint64_t begin_ = 0;
 };
 
-/// Manual begin/complete spans for back-to-back regions that straddle block
-/// boundaries (mirrors the Stopwatch-per-phase pattern): complete() records
-/// the region since construction (or the previous complete()) and re-arms
-/// for the next one.
-class Interval {
- public:
-  Interval()
-      : mode_(detail::g_mode.load(std::memory_order_relaxed)),
-        begin_(mode_ != 0 ? now_ns() : 0) {}
-
-  void complete(const char* name, std::int64_t arg = kNoArg) {
-    if (mode_ != 0) detail::record(name, begin_, now_ns(), arg, mode_);
-    mode_ = detail::g_mode.load(std::memory_order_relaxed);
-    begin_ = mode_ != 0 ? now_ns() : 0;
-  }
-
- private:
-  unsigned mode_;
-  std::uint64_t begin_;
-};
-
 #else  // !SSLIC_TRACING_ENABLED — empty types, zero code at call sites
 
 class Span {
@@ -227,12 +216,37 @@ class DetailSpan {
  public:
   DetailSpan(int, const char*, std::int64_t = kNoArg) {}
 };
-class Interval {
- public:
-  void complete(const char*, std::int64_t = kNoArg) {}
-};
 
 #endif  // SSLIC_TRACING_ENABLED
+
+/// Stage clock for back-to-back regions that straddle block boundaries:
+/// complete() ends the region begun at construction (or at the previous
+/// complete()), records it as a span when recording is on, returns its
+/// length in milliseconds, and starts the next region at the same instant.
+/// It reads the clock whether or not it records, also in
+/// -DSSLIC_TRACING=OFF builds, so callers can feed the result to a
+/// PhaseTimer.
+class Interval {
+ public:
+  Interval() : begin_(now_ns()) {}
+
+  double complete(const char* name, std::int64_t arg = kNoArg) {
+    const std::uint64_t end = now_ns();
+#if SSLIC_TRACING_ENABLED
+    const unsigned mode = detail::g_mode.load(std::memory_order_relaxed);
+    if (mode != 0) detail::record(name, begin_, end, arg, mode);
+#else
+    static_cast<void>(name);
+    static_cast<void>(arg);
+#endif
+    const double ms = static_cast<double>(end - begin_) / 1e6;
+    begin_ = end;
+    return ms;
+  }
+
+ private:
+  std::uint64_t begin_;
+};
 
 }  // namespace sslic::trace
 

@@ -145,7 +145,6 @@ ConnectivityResult enforce_connectivity_span(
 ConnectivityResult enforce_connectivity(LabelImage& labels,
                                         int expected_superpixels,
                                         ConnectivityScratch* scratch) {
-  SSLIC_TRACE_SCOPE("slic.connectivity");
   SSLIC_CHECK(expected_superpixels >= 1);
   const int w = labels.width();
   const int h = labels.height();

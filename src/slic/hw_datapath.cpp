@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "common/check.h"
-#include "common/perf_counters.h"
 #include "common/trace.h"
 #include "slic/assign_kernels.h"
 #include "slic/connectivity.h"
@@ -51,7 +50,6 @@ std::int32_t HwSlic::quantize_distance(std::int32_t d, int bits, int shift) {
 Segmentation HwSlic::segment(const RgbImage& image, HwRunStats* stats) const {
   SSLIC_CHECK(!image.empty());
   SSLIC_TRACE_SCOPE("hw.segment");
-  SSLIC_PERF_SCOPE("hw.segment");
   const int w = image.width();
   const int h = image.height();
   const std::size_t n = image.size();

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/perf_counters.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "image/planar.h"
@@ -56,7 +55,6 @@ void CpaSlic::segment_lab_into(const LabImage& lab, Segmentation& result,
                                PhaseTimer* phases) const {
   SSLIC_CHECK(!lab.empty());
   SSLIC_TRACE_SCOPE("cpa.segment");
-  SSLIC_PERF_SCOPE("cpa.segment");
   const int w = lab.width();
   const int h = lab.height();
   const std::size_t n = lab.size();
@@ -67,9 +65,9 @@ void CpaSlic::segment_lab_into(const LabImage& lab, Segmentation& result,
   const bool fused = fusion_enabled();
   instr.fused = fused;
 
-  Stopwatch init_watch;
-  trace::Interval init_span;
-  perf::IntervalSample init_perf;
+  // One clock per stage: each Interval::complete() below ends a stage and
+  // feeds the same measurement to its span and to its PhaseTimer phase.
+  trace::Interval init_stage;
   const CenterGrid grid(w, h, params_.num_superpixels);
   const double spacing = grid.spacing();
   const DistanceCalculator dist(params_.compactness, spacing);
@@ -134,9 +132,8 @@ void CpaSlic::segment_lab_into(const LabImage& lab, Segmentation& result,
   const LabPlanes& planes = scratch.planes;
   const kernels::KernelTable& kt = kernels::active();
   const double spatial_weight = dist.spatial_weight();
-  if (phases != nullptr) phases->add(kPhaseOther, init_watch.elapsed_ms());
-  init_span.complete("cpa.init");
-  init_perf.complete("cpa.init");
+  const double init_ms = init_stage.complete("cpa.init");
+  if (phases != nullptr) phases->add(kPhaseOther, init_ms);
 
   // 2S x 2S search rectangle centred on each SP (paper Section 2): +/- S.
   const int window = std::max(1, static_cast<int>(std::lround(spacing)));
@@ -149,9 +146,7 @@ void CpaSlic::segment_lab_into(const LabImage& lab, Segmentation& result,
     stats.iteration = iter;
 
     // --- Assignment: scan each active center's 2Sx2S window. ---
-    Stopwatch assign_watch;
-    trace::Interval assign_span;
-    perf::IntervalSample iter_perf;
+    trace::Interval iter_stages;  // assignment, then center update
     if (!subsampled) {
       // Full SLIC resets the minimum-distance plane every iteration. The
       // fused path folds the reset into each band's sweep (same writes,
@@ -299,9 +294,8 @@ void CpaSlic::segment_lab_into(const LabImage& lab, Segmentation& result,
         });
       }
     }
-    if (phases != nullptr) phases->add(kPhaseDistanceMin, assign_watch.elapsed_ms());
-    assign_span.complete("cpa.assign", iter);
-    iter_perf.complete("cpa.assign");
+    const double assign_ms = iter_stages.complete("cpa.assign", iter);
+    if (phases != nullptr) phases->add(kPhaseDistanceMin, assign_ms);
 
     // --- Center update: merge sigma partials, then divide. ---
     // Either path merges per-band partials in ascending band order with
@@ -309,8 +303,6 @@ void CpaSlic::segment_lab_into(const LabImage& lab, Segmentation& result,
     // same kReduceChunks budget), so the floating-point reduction tree —
     // and hence every center, bit for bit — is the same at any thread
     // count, fused or not.
-    Stopwatch update_watch;
-    trace::Interval update_span;
     if (!fused) {
       sigmas = parallel_reduce<std::vector<Sigma>>(
           0, h,
@@ -353,9 +345,9 @@ void CpaSlic::segment_lab_into(const LabImage& lab, Segmentation& result,
                                            &instr.ops);
     instr.traffic.center_write +=
         static_cast<std::uint64_t>(num_centers) * MemTraffic::kCenterBytes;
-    if (phases != nullptr) phases->add(kPhaseCenterUpdate, update_watch.elapsed_ms());
-    update_span.complete(fused ? "cpa.fused_accumulate" : "cpa.update", iter);
-    iter_perf.complete(fused ? "cpa.fused_accumulate" : "cpa.update");
+    const double update_ms = iter_stages.complete(
+        fused ? "cpa.fused_accumulate" : "cpa.update", iter);
+    if (phases != nullptr) phases->add(kPhaseCenterUpdate, update_ms);
 
     instr.iterations += 1;
     result.iterations_run = iter + 1;
@@ -376,16 +368,15 @@ void CpaSlic::segment_lab_into(const LabImage& lab, Segmentation& result,
   (void)callback_ms_total;  // callbacks are excluded from phase totals by design
 
   if (params_.enforce_connectivity) {
-    Stopwatch conn_watch;
-    SSLIC_TRACE_SCOPE("cpa.connectivity");
-    SSLIC_PERF_SCOPE("cpa.connectivity");
+    trace::Interval connectivity_stage;
     const ConnectivityResult connectivity = enforce_connectivity(
         result.labels, params_.num_superpixels, &scratch.connectivity);
     instr.final_label_count =
         static_cast<std::uint64_t>(connectivity.final_label_count);
     instr.pixels_relabelled = connectivity.pixels_moved;
-    if (phases != nullptr)
-      phases->add(kPhaseConnectivity, conn_watch.elapsed_ms());
+    const double connectivity_ms =
+        connectivity_stage.complete("cpa.connectivity");
+    if (phases != nullptr) phases->add(kPhaseConnectivity, connectivity_ms);
   }
 }
 

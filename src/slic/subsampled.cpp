@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/perf_counters.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "image/planar.h"
@@ -125,7 +124,6 @@ void PpaSlic::segment_impl(const LabImage& lab,
                            PhaseTimer* phases) const {
   SSLIC_CHECK(!lab.empty());
   SSLIC_TRACE_SCOPE("ppa.segment");
-  SSLIC_PERF_SCOPE("ppa.segment");
   const int w = lab.width();
   const int h = lab.height();
   const std::size_t n = lab.size();
@@ -135,7 +133,9 @@ void PpaSlic::segment_impl(const LabImage& lab,
   instr = Instrumentation{};
   instr.warm = warm_centers != nullptr;
 
-  Stopwatch init_watch;
+  // One clock per stage: each Interval::complete() below ends a stage and
+  // feeds the same measurement to its span and to its PhaseTimer phase.
+  trace::Interval init_stage;
   const CenterGrid grid(w, h, params_.num_superpixels);
   const DistanceCalculator dist(params_.compactness, grid.spacing(), data_width_);
   const SubsetSchedule schedule =
@@ -227,7 +227,8 @@ void PpaSlic::segment_impl(const LabImage& lab,
   calm_streak.assign(num_centers_z, 0);
   std::vector<std::uint8_t>& tile_skipped = scratch.tile_skipped;
   tile_skipped.assign(num_centers_z, 0);
-  if (phases != nullptr) phases->add(CpaSlic::kPhaseOther, init_watch.elapsed_ms());
+  const double init_ms = init_stage.complete("ppa.init");
+  if (phases != nullptr) phases->add(CpaSlic::kPhaseOther, init_ms);
 
   std::int32_t* const labels = result.labels.pixels().data();
   const bool all_active = schedule.count() == 1;
@@ -244,9 +245,7 @@ void PpaSlic::segment_impl(const LabImage& lab,
     // iteration's centers and its own entries, so any split of the tiles
     // gives the same bytes. A stripe writes only its own rows, its own
     // tiles' skip flags, its own mask slice and its own tally.
-    Stopwatch assign_watch;
-    trace::Interval assign_span;
-    perf::IntervalSample iter_perf;
+    trace::Interval iter_stages;  // assignment, then accumulation and update
     const auto assign_stripe = [&](std::size_t stripe) {
       const int gy = static_cast<int>(stripe);
       StripeTally& tally = stripe_tallies[stripe];
@@ -342,10 +341,8 @@ void PpaSlic::segment_impl(const LabImage& lab,
         stats.pixels_visited * MemTraffic::kDistanceBytes;
     instr.traffic.distance_write +=
         stats.pixels_visited * MemTraffic::kDistanceBytes;
-    if (phases != nullptr)
-      phases->add(CpaSlic::kPhaseDistanceMin, assign_watch.elapsed_ms());
-    assign_span.complete("ppa.assign", iter);
-    iter_perf.complete("ppa.assign");
+    const double assign_ms = iter_stages.complete("ppa.assign", iter);
+    if (phases != nullptr) phases->add(CpaSlic::kPhaseDistanceMin, assign_ms);
 
     // --- Phase B: sigma accumulation, then the center update. ---
     // Band b owns center rows [r0, r1) and adds, in row-major order, only
@@ -358,8 +355,6 @@ void PpaSlic::segment_impl(const LabImage& lab,
     // accumulates from tile-resident data, so this adds no DRAM traffic;
     // it is charged to the center-update phase, as in the paper's Table-1
     // accounting.
-    Stopwatch update_watch;
-    trace::Interval update_span;
     const auto accumulate_band = [&](std::size_t band) {
       SSLIC_TRACE_SCOPE_AT(1, "ppa.accumulate", static_cast<std::int64_t>(band));
       const auto [r0, r1] = detail::chunk_bounds(0, ny, bands, band);
@@ -434,10 +429,8 @@ void PpaSlic::segment_impl(const LabImage& lab,
     instr.ops.accumulate_ops += 6 * accumulated;
     stats.center_movement = update_ppa_centers(
         sigmas, dist, params_, result.centers, calm_streak, frozen, instr);
-    if (phases != nullptr)
-      phases->add(CpaSlic::kPhaseCenterUpdate, update_watch.elapsed_ms());
-    update_span.complete("ppa.update", iter);
-    iter_perf.complete("ppa.update");
+    const double update_ms = iter_stages.complete("ppa.update", iter);
+    if (phases != nullptr) phases->add(CpaSlic::kPhaseCenterUpdate, update_ms);
 
     instr.iterations += 1;
     result.iterations_run = iter + 1;
@@ -454,16 +447,16 @@ void PpaSlic::segment_impl(const LabImage& lab,
   }
 
   if (params_.enforce_connectivity) {
-    Stopwatch conn_watch;
-    SSLIC_TRACE_SCOPE("ppa.connectivity");
-    SSLIC_PERF_SCOPE("ppa.connectivity");
+    trace::Interval connectivity_stage;
     const ConnectivityResult connectivity = enforce_connectivity(
         result.labels, params_.num_superpixels, &scratch.connectivity);
     instr.final_label_count =
         static_cast<std::uint64_t>(connectivity.final_label_count);
     instr.pixels_relabelled = connectivity.pixels_moved;
+    const double connectivity_ms =
+        connectivity_stage.complete("ppa.connectivity");
     if (phases != nullptr)
-      phases->add(CpaSlic::kPhaseConnectivity, conn_watch.elapsed_ms());
+      phases->add(CpaSlic::kPhaseConnectivity, connectivity_ms);
   }
 }
 

@@ -13,7 +13,6 @@
 
 #include "common/check.h"
 #include "common/logging.h"
-#include "common/perf_counters.h"
 #include "common/stopwatch.h"
 #include "common/telemetry.h"
 #include "common/thread_pool.h"
@@ -380,7 +379,6 @@ class TiledRun {
       return labels_;
     }
     SSLIC_TRACE_SCOPE("tiled.connectivity");
-    SSLIC_PERF_SCOPE("tiled.connectivity");
     if (store_.disk_backed()) {
       // The Lab and min-distance planes are dead from here on.
       store_.release_plane_rows(PlanarStore::Plane::kLabL, 0, h_);
@@ -487,7 +485,6 @@ void TiledRun::run_cpa(Segmentation& result) {
 
     live_progress().iteration->set(iter);
     trace::Interval assign_span;
-    perf::IntervalSample iter_perf;
     // Full SLIC's per-iteration min-distance reset, charged analytically
     // (the tiled path folds it into the per-tile scratch fill).
     if (!subsampled)
@@ -622,7 +619,6 @@ void TiledRun::run_cpa(Segmentation& result) {
       pool.run_chunks(static_cast<std::size_t>(num_tiles), tile_body);
     }
     assign_span.complete("tiled.assign", iter);
-    iter_perf.complete("tiled.assign");
 
     // Phase B: sigma accumulation over the monolithic fixed row bands,
     // partials folded in ascending band order — the exact reduction tree
@@ -679,7 +675,6 @@ void TiledRun::run_cpa(Segmentation& result) {
     instr_.traffic.center_write +=
         static_cast<std::uint64_t>(num_centers) * MemTraffic::kCenterBytes;
     update_span.complete("tiled.update", iter);
-    iter_perf.complete("tiled.update");
 
     instr_.iterations += 1;
     result.iterations_run = iter + 1;
@@ -723,7 +718,6 @@ void TiledRun::run_ppa(Segmentation& result) {
 
     live_progress().iteration->set(iter);
     trace::Interval assign_span;
-    perf::IntervalSample iter_perf;
     std::fill(tile_skipped.begin(), tile_skipped.end(), std::uint8_t{0});
 
     // Serial pre-pass over the grid cells: preemptive skips and the
@@ -881,7 +875,6 @@ void TiledRun::run_ppa(Segmentation& result) {
     instr_.traffic.distance_write +=
         stats.pixels_visited * MemTraffic::kDistanceBytes;
     assign_span.complete("tiled.assign", iter);
-    iter_perf.complete("tiled.assign");
 
     // Phase B: serial sigma accumulation in global row-major order. Every
     // sigma gets the additions, in the order, that the monolithic path's
@@ -921,7 +914,6 @@ void TiledRun::run_ppa(Segmentation& result) {
     stats.center_movement = update_ppa_centers(
         sigmas, dist_, params_, centers, calm_streak, frozen, instr_);
     update_span.complete("tiled.update", iter);
-    iter_perf.complete("tiled.update");
 
     instr_.iterations += 1;
     result.iterations_run = iter + 1;
@@ -1014,7 +1006,6 @@ void TiledSegmenter::run_on_store(PlanarStore& store, Segmentation& result,
                                   TiledStats* stats,
                                   const std::int32_t** final_labels) const {
   SSLIC_TRACE_SCOPE("tiled.segment");
-  SSLIC_PERF_SCOPE("tiled.segment");
   const TileGeometry geo =
       make_tile_geometry(store.width(), store.height(), config_);
   TiledRun run(algorithm_, params_, geo, store, *instrumentation, *stats);
@@ -1097,7 +1088,6 @@ void TiledSegmenter::segment_rows(LabRowSource& source, int width, int height,
                                   TiledStats* stats) const {
   SSLIC_CHECK(width >= 2 && height >= 2);
   SSLIC_TRACE_SCOPE("tiled.segment_rows");
-  SSLIC_PERF_SCOPE("tiled.segment_rows");
 
   const bool needs_min_dist =
       algorithm_ == Algorithm::kSslicCpa &&

@@ -1,7 +1,8 @@
 // Tests for the unified telemetry layer: metrics registry (counters,
 // gauges, percentile histograms), the PhaseTimer/ThreadPool/Instrumentation
-// exporters, and the tracing-span session (recording, nesting, Chrome
-// trace-event serialization). Telemetry must observe without perturbing:
+// exporters, and the tracing-span session (recording, nesting, stop-on-full
+// retention, Chrome trace-event serialization, stage spans agreeing with
+// PhaseTimer phases). Telemetry must observe without perturbing:
 // the golden-run test cross-checks exported counters against the
 // Instrumentation record itself.
 #include <gtest/gtest.h>
@@ -9,20 +10,25 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <map>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "color/color_convert.h"
 #include "common/stopwatch.h"
 #include "common/telemetry.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "dataset/synthetic.h"
+#include "slic/fusion.h"
 #include "slic/slic_baseline.h"
+#include "slic/subsampled.h"
 #include "slic/telemetry_bridge.h"
 
 namespace sslic {
@@ -607,6 +613,106 @@ TEST(Trace, DetailSpansRespectThreshold) {
     if (e.name == "detail.recorded") recorded = true;
   }
   EXPECT_TRUE(recorded);
+}
+
+// The trace ring stops when full: a thread keeps its first kTraceCapacity
+// spans and counts the rest as dropped. (The flight ring, which wraps
+// instead, is FlightRecorder.RingWrapsAndRetainsMostRecent in test_ops.)
+TEST(Trace, FullRingKeepsFirstSpansAndCountsDrops) {
+  trace::reset();
+  trace::set_armed(true);
+  const std::uint64_t dropped_before = trace::dropped_events();
+  const std::size_t capacity = trace::kTraceCapacity;
+  // A dedicated thread gets a fresh ring, so the counts are exact.
+  std::thread recorder([capacity] {
+    for (std::size_t i = 0; i < capacity + 100; ++i) {
+      SSLIC_TRACE_SCOPE("trace_test.full", static_cast<std::int64_t>(i));
+    }
+  });
+  recorder.join();
+  EXPECT_EQ(trace::dropped_events() - dropped_before, 100u);
+
+  std::vector<bool> seen(capacity + 100, false);
+  for (const ParsedEvent& e : parse_trace(serialize_session())) {
+    if (e.name != "trace_test.full") continue;
+    ASSERT_GE(e.arg, 0);
+    ASSERT_LT(static_cast<std::size_t>(e.arg), seen.size());
+    seen[static_cast<std::size_t>(e.arg)] = true;
+  }
+  const auto kept = std::count(
+      seen.begin(), seen.begin() + static_cast<std::ptrdiff_t>(capacity), true);
+  EXPECT_EQ(static_cast<std::size_t>(kept), capacity);
+  EXPECT_FALSE(seen[capacity]);
+  trace::reset();
+}
+
+// One clock per stage: a segmenter stage's span and its PhaseTimer phase
+// come from the same two clock reads. Per phase, the summed span durations
+// (nanosecond precision in the serializer) match the phase total to within
+// the ring's 1 ns nudge of an equal end timestamp, once per span.
+TEST(Trace, StageSpansMatchPhaseTimer) {
+  SyntheticParams scene;
+  scene.width = 160;
+  scene.height = 120;
+  const GroundTruthImage gt = generate_synthetic(scene, 31);
+  const LabImage lab = srgb_to_lab(gt.image);
+  SlicParams params;
+  params.num_superpixels = 64;
+  params.max_iterations = 4;
+
+  struct Case {
+    const char* label;
+    bool ppa;
+    bool fused;
+    const char* init;
+    const char* assign;
+    const char* update;
+    const char* connectivity;
+  };
+  const Case cases[] = {
+      {"CPA fused", false, true, "cpa.init", "cpa.assign",
+       "cpa.fused_accumulate", "cpa.connectivity"},
+      {"CPA two-pass", false, false, "cpa.init", "cpa.assign", "cpa.update",
+       "cpa.connectivity"},
+      {"PPA(0.5)", true, true, "ppa.init", "ppa.assign", "ppa.update",
+       "ppa.connectivity"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.label);
+    PhaseTimer phases;
+    trace::reset();
+    trace::set_armed(true);
+    {
+      const FusionGuard guard(c.fused);
+      if (c.ppa) {
+        SlicParams ppa_params = params;
+        ppa_params.subsample_ratio = 0.5;
+        (void)PpaSlic(ppa_params).segment_lab(lab, {}, nullptr, &phases);
+      } else {
+        (void)CpaSlic(params).segment_lab(lab, {}, nullptr, &phases);
+      }
+    }
+    const std::vector<ParsedEvent> events = parse_trace(serialize_session());
+    const std::pair<const char*, const char*> pairs[] = {
+        {CpaSlic::kPhaseOther, c.init},
+        {CpaSlic::kPhaseDistanceMin, c.assign},
+        {CpaSlic::kPhaseCenterUpdate, c.update},
+        {CpaSlic::kPhaseConnectivity, c.connectivity},
+    };
+    for (const auto& [phase, span] : pairs) {
+      double span_ns = 0.0;
+      int spans = 0;
+      for (const ParsedEvent& e : events) {
+        if (e.name != span) continue;
+        span_ns += e.dur * 1e3;
+        ++spans;
+      }
+      ASSERT_GT(spans, 0) << span;
+      EXPECT_NEAR(phases.phase_ms(phase) * 1e6, span_ns, spans * 1.0 + 1e-3)
+          << phase << " vs " << span;
+    }
+  }
+  trace::reset();
 }
 
 // Telemetry must not perturb: a traced golden run produces byte-identical
