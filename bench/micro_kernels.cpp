@@ -44,7 +44,7 @@ void BM_ColorConvertReference(benchmark::State& state) {
   const RgbImage& img = test_image().image;
   for (auto _ : state) {
     LabImage lab = srgb_to_lab(img);
-    benchmark::DoNotOptimize(lab.data());
+    benchmark::DoNotOptimize(lab.L.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(img.size()));

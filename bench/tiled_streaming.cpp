@@ -38,7 +38,6 @@
 #include <cstring>
 #include <iostream>
 #include <string>
-#include <vector>
 
 #include "bench_common.h"
 #include "color/color_convert.h"
@@ -205,15 +204,12 @@ int main(int argc, char** argv) {
   bool identical = true;
   if (identity_check) {
     LabImage lab(width, height);
-    std::vector<float> L(static_cast<std::size_t>(width)),
-        a(static_cast<std::size_t>(width)), b(static_cast<std::size_t>(width));
     ProceduralLabSource mono_source;
     for (int y = 0; y < height; ++y) {
-      mono_source.fill_row(y, L.data(), a.data(), b.data(), width);
-      for (int x = 0; x < width; ++x)
-        lab(x, y) = LabF{L[static_cast<std::size_t>(x)],
-                         a[static_cast<std::size_t>(x)],
-                         b[static_cast<std::size_t>(x)]};
+      const std::size_t row =
+          static_cast<std::size_t>(y) * static_cast<std::size_t>(width);
+      mono_source.fill_row(y, lab.L.data() + row, lab.a.data() + row,
+                           lab.b.data() + row, width);
     }
     const Segmentation mono = algorithm == Algorithm::kSslicPpa
                                   ? PpaSlic(params).segment_lab(lab)

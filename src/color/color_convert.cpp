@@ -61,19 +61,27 @@ LabImage srgb_to_lab(const RgbImage& image) {
   return lab;
 }
 
-void srgb_to_lab(const RgbImage& image, LabImage& lab) {
-  SSLIC_TRACE_SCOPE("color.srgb_to_lab");
+double srgb_to_lab(const RgbImage& image, LabImage& lab) {
+  trace::Interval stage;
   if (lab.width() != image.width() || lab.height() != image.height())
     lab = LabImage(image.width(), image.height());
+  const Rgb8* const src = image.data();
+  float* const dl = lab.L.data();
+  float* const da = lab.a.data();
+  float* const db = lab.b.data();
   // Pure per-pixel map: identical output for any range partition.
   parallel_for(0, static_cast<std::int64_t>(image.size()),
                [&](std::int64_t lo, std::int64_t hi) {
                  SSLIC_TRACE_SCOPE_AT(1, "color.srgb_to_lab.chunk", lo);
                  for (std::int64_t i = lo; i < hi; ++i) {
                    const auto idx = static_cast<std::size_t>(i);
-                   lab.pixels()[idx] = srgb_to_lab(image.pixels()[idx]);
+                   const LabF px = srgb_to_lab(src[idx]);
+                   dl[idx] = px.L;
+                   da[idx] = px.a;
+                   db[idx] = px.b;
                  }
                });
+  return stage.complete("color.srgb_to_lab");
 }
 
 namespace {

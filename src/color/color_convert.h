@@ -45,10 +45,12 @@ LabF srgb_to_lab(Rgb8 rgb);
 /// implementations and as the golden model for the LUT unit's tests).
 LabImage srgb_to_lab(const RgbImage& image);
 
-/// In-place variant: converts into `lab`, resizing only when the
-/// dimensions change. Allocation-free at steady state (the video loop
-/// reuses one Lab frame across the stream).
-void srgb_to_lab(const RgbImage& image, LabImage& lab);
+/// In-place variant: converts into `lab`'s three planes, resizing only when
+/// the dimensions change. Allocation-free at steady state (the video loop
+/// reuses one Lab frame across the stream). The conversion is one stage
+/// clock: it records the `color.srgb_to_lab` span and returns the same
+/// measurement in milliseconds, for the caller's PhaseTimer.
+double srgb_to_lab(const RgbImage& image, LabImage& lab);
 
 /// Inverse conversion (CIELAB -> 8-bit sRGB, channels clamped), used by the
 /// dataset generator to synthesize images with prescribed Lab statistics.

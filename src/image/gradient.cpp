@@ -15,17 +15,29 @@ void lab_gradient_magnitude(const LabImage& lab, Image<float>& grad) {
   const int w = lab.width();
   const int h = lab.height();
   if (grad.width() != w || grad.height() != h) grad = Image<float>(w, h);
-  const auto view = lab.view();
+  const float* const pl = lab.L.data();
+  const float* const pa = lab.a.data();
+  const float* const pb = lab.b.data();
+  const auto stride = static_cast<std::size_t>(w);
   for (int y = 0; y < h; ++y) {
+    // Border neighbours clamp to the edge, as Span2d::at_clamped does.
+    const std::size_t row = static_cast<std::size_t>(y) * stride;
+    const std::size_t up = static_cast<std::size_t>(std::max(y - 1, 0)) * stride;
+    const std::size_t down =
+        static_cast<std::size_t>(std::min(y + 1, h - 1)) * stride;
+    float* const out = grad.data() + row;
     for (int x = 0; x < w; ++x) {
-      const LabF& xp = view.at_clamped(x + 1, y);
-      const LabF& xm = view.at_clamped(x - 1, y);
-      const LabF& yp = view.at_clamped(x, y + 1);
-      const LabF& ym = view.at_clamped(x, y - 1);
-      const float dx_l = xp.L - xm.L, dx_a = xp.a - xm.a, dx_b = xp.b - xm.b;
-      const float dy_l = yp.L - ym.L, dy_a = yp.a - ym.a, dy_b = yp.b - ym.b;
-      grad(x, y) = dx_l * dx_l + dx_a * dx_a + dx_b * dx_b + dy_l * dy_l +
-                   dy_a * dy_a + dy_b * dy_b;
+      const std::size_t xp =
+          row + static_cast<std::size_t>(std::min(x + 1, w - 1));
+      const std::size_t xm = row + static_cast<std::size_t>(std::max(x - 1, 0));
+      const std::size_t yp = down + static_cast<std::size_t>(x);
+      const std::size_t ym = up + static_cast<std::size_t>(x);
+      const float dx_l = pl[xp] - pl[xm], dx_a = pa[xp] - pa[xm],
+                  dx_b = pb[xp] - pb[xm];
+      const float dy_l = pl[yp] - pl[ym], dy_a = pa[yp] - pa[ym],
+                  dy_b = pb[yp] - pb[ym];
+      out[x] = dx_l * dx_l + dx_a * dx_a + dx_b * dx_b + dy_l * dy_l +
+               dy_a * dy_a + dy_b * dy_b;
     }
   }
 }

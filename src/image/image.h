@@ -3,8 +3,10 @@
 // Image<T> is a single-plane row-major raster; RgbImage is an interleaved
 // 8-bit RGB raster (the accelerator's external-memory input format: single-
 // byte R,G,B per pixel stored contiguously in raster-scan order, Section
-// 4.3); LabImage is a three-plane floating-point CIELAB raster used by the
-// reference algorithm path.
+// 4.3); LabImage is a three-plane floating-point CIELAB raster, one plane
+// per channel like the accelerator's channel memories (Fig. 4): the color
+// conversion writes the planes and the vectorized row kernels read them,
+// so the frame keeps one layout from conversion to accumulation.
 #pragma once
 
 #include <cstdint>
@@ -90,8 +92,33 @@ struct LabF {
   friend bool operator==(const LabF&, const LabF&) = default;
 };
 
-/// Floating-point CIELAB raster.
-using LabImage = Image<LabF>;
+/// Floating-point CIELAB raster stored as three planes. A SIMD lane wants
+/// consecutive L values, not L/a/b triples, so the row kernels take
+/// `L.data() + offset` and the matching `a` and `b` pointers; scalar code
+/// reads and writes whole pixels through operator() and set().
+struct LabImage {
+  Image<float> L;
+  Image<float> a;
+  Image<float> b;
+
+  LabImage() = default;
+  LabImage(int width, int height, LabF fill = {})
+      : L(width, height, fill.L),
+        a(width, height, fill.a),
+        b(width, height, fill.b) {}
+
+  [[nodiscard]] int width() const { return L.width(); }
+  [[nodiscard]] int height() const { return L.height(); }
+  [[nodiscard]] std::size_t size() const { return L.size(); }
+  [[nodiscard]] bool empty() const { return L.empty(); }
+
+  LabF operator()(int x, int y) const { return {L(x, y), a(x, y), b(x, y)}; }
+  void set(int x, int y, LabF value) {
+    L(x, y) = value.L;
+    a(x, y) = value.a;
+    b(x, y) = value.b;
+  }
+};
 
 /// Label map produced by segmentation: one superpixel index per pixel.
 using LabelImage = Image<std::int32_t>;

@@ -273,22 +273,24 @@ double explained_variation(const LabelImage& superpixels, const LabImage& lab) {
     std::vector<Acc> per_label;
     Acc global;
   };
+  const float* const pl = lab.L.data();
+  const float* const pa = lab.a.data();
+  const float* const pb = lab.b.data();
   MeanPartial means = parallel_reduce<MeanPartial>(
       0, static_cast<std::int64_t>(lab.size()),
       [&](MeanPartial& partial, std::int64_t lo, std::int64_t hi) {
         partial.per_label.assign(static_cast<std::size_t>(n_labels), Acc{});
         for (std::int64_t i = lo; i < hi; ++i) {
           const auto idx = static_cast<std::size_t>(i);
-          const LabF& px = lab.pixels()[idx];
           Acc& s = partial.per_label[static_cast<std::size_t>(
               superpixels.pixels()[idx])];
-          s.L += static_cast<double>(px.L);
-          s.a += static_cast<double>(px.a);
-          s.b += static_cast<double>(px.b);
+          s.L += static_cast<double>(pl[idx]);
+          s.a += static_cast<double>(pa[idx]);
+          s.b += static_cast<double>(pb[idx]);
           s.n += 1;
-          partial.global.L += static_cast<double>(px.L);
-          partial.global.a += static_cast<double>(px.a);
-          partial.global.b += static_cast<double>(px.b);
+          partial.global.L += static_cast<double>(pl[idx]);
+          partial.global.a += static_cast<double>(pa[idx]);
+          partial.global.b += static_cast<double>(pb[idx]);
           partial.global.n += 1;
         }
       },
@@ -323,7 +325,6 @@ double explained_variation(const LabelImage& superpixels, const LabImage& lab) {
       [&](VarPartial& partial, std::int64_t lo, std::int64_t hi) {
         for (std::int64_t i = lo; i < hi; ++i) {
           const auto idx = static_cast<std::size_t>(i);
-          const LabF& px = lab.pixels()[idx];
           const Acc& s =
               acc[static_cast<std::size_t>(superpixels.pixels()[idx])];
           const double ml = s.L / static_cast<double>(s.n);
@@ -331,9 +332,9 @@ double explained_variation(const LabelImage& superpixels, const LabImage& lab) {
           const double mb = s.b / static_cast<double>(s.n);
           partial.between += (ml - gl) * (ml - gl) + (ma - ga) * (ma - ga) +
                              (mb - gb) * (mb - gb);
-          const double dl = static_cast<double>(px.L) - gl;
-          const double da = static_cast<double>(px.a) - ga;
-          const double db = static_cast<double>(px.b) - gb;
+          const double dl = static_cast<double>(pl[idx]) - gl;
+          const double da = static_cast<double>(pa[idx]) - ga;
+          const double db = static_cast<double>(pb[idx]) - gb;
           partial.total += dl * dl + da * da + db * db;
         }
       },

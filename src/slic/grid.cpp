@@ -87,7 +87,7 @@ void seed_centers(const CenterGrid& grid, const LabImage& lab,
         px = p.x;
         py = p.y;
       }
-      const LabF& color = lab(px, py);
+      const LabF color = lab(px, py);
       ClusterCenter& c =
           centers[static_cast<std::size_t>(grid.center_index(gx, gy))];
       c = {static_cast<double>(color.L), static_cast<double>(color.a),

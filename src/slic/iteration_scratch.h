@@ -1,7 +1,7 @@
 // Reusable per-run working state of the SLIC segmenters.
 //
-// Every buffer a segmentation run needs — the min-distance plane, planar
-// channel splits, per-band sigma pools, subset masks, connectivity run
+// Every buffer a segmentation run needs — the min-distance plane, the
+// seeding gradient, per-band sigma pools, subset masks, connectivity run
 // records — lives here instead of on the stack of segment_lab(), so a
 // caller that keeps one IterationScratch across frames (TemporalSlic, the
 // video pipeline, the fused-iteration bench) pays the allocations once and
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "image/image.h"
-#include "image/planar.h"
 #include "slic/center_update.h"
 #include "slic/connectivity.h"
 #include "slic/grid.h"
@@ -52,7 +51,6 @@ struct IterationScratch {
   // --- Shared by CPA and PPA ---
   std::vector<double> min_dist;  ///< running minimum-distance plane
   std::vector<Sigma> sigmas;     ///< merged sigma registers (K entries)
-  LabPlanes planes;              ///< planar split feeding the row kernels
   Image<float> gradient;         ///< center-perturbation pass (seed_centers)
   ConnectivityScratch connectivity;
 
@@ -65,7 +63,9 @@ struct IterationScratch {
   std::vector<std::vector<Sigma>> band_sigmas;
 
   // --- PPA (subsampled.cpp) ---
-  LabImage stored;  ///< quantized image copy (data widths below float only)
+  /// Quantized Lab planes the row kernels read in place of the input
+  /// (data widths below float only; a float run reads the input itself).
+  LabImage stored;
   /// Subset-mask rows: one image-wide slice per assignment stripe, so
   /// stripes running on different threads never share a mask.
   std::vector<std::uint8_t> row_active;

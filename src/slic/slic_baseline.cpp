@@ -8,7 +8,6 @@
 #include "common/check.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
-#include "image/planar.h"
 #include "slic/assign_kernels.h"
 #include "slic/center_update.h"
 #include "slic/connectivity.h"
@@ -30,11 +29,8 @@ Segmentation CpaSlic::segment(const RgbImage& image,
                               Instrumentation* instrumentation,
                               PhaseTimer* phases) const {
   LabImage lab;
-  {
-    Stopwatch watch;
-    lab = srgb_to_lab(image);
-    if (phases != nullptr) phases->add(kPhaseColorConversion, watch.elapsed_ms());
-  }
+  const double convert_ms = srgb_to_lab(image, lab);
+  if (phases != nullptr) phases->add(kPhaseColorConversion, convert_ms);
   return segment_lab(lab, callback, instrumentation, phases);
 }
 
@@ -125,11 +121,8 @@ void CpaSlic::segment_lab_into(const LabImage& lab, Segmentation& result,
       std::min<std::size_t>(detail::kReduceChunks, static_cast<std::size_t>(h));
   if (fused) scratch.ensure_band_sigmas(bands, num_centers_z);
 
-  // One planar split per frame feeds the vectorized assignment kernels
-  // (SoA channel planes; see image/planar.h). Resolved kernel table is
-  // fetched once — dispatch never runs inside the pixel loops.
-  split_lab_planes(lab, scratch.planes);
-  const LabPlanes& planes = scratch.planes;
+  // The resolved kernel table is fetched once — dispatch never runs inside
+  // the pixel loops.
   const kernels::KernelTable& kt = kernels::active();
   const double spatial_weight = dist.spatial_weight();
   const double init_ms = init_stage.complete("cpa.init");
@@ -137,7 +130,6 @@ void CpaSlic::segment_lab_into(const LabImage& lab, Segmentation& result,
 
   // 2S x 2S search rectangle centred on each SP (paper Section 2): +/- S.
   const int window = std::max(1, static_cast<int>(std::lround(spacing)));
-  double callback_ms_total = 0.0;
 
   for (int iter = 0; iter < params_.max_iterations; ++iter) {
     SSLIC_TRACE_SCOPE("cpa.iter", iter);
@@ -223,8 +215,8 @@ void CpaSlic::segment_lab_into(const LabImage& lab, Segmentation& result,
           const std::size_t off =
               static_cast<std::size_t>(y) * static_cast<std::size_t>(w) +
               static_cast<std::size_t>(win.x0);
-          kt.assign_center_row(planes.L.data() + off, planes.a.data() + off,
-                               planes.b.data() + off, win.x0, count,
+          kt.assign_center_row(lab.L.data() + off, lab.a.data() + off,
+                               lab.b.data() + off, win.x0, count,
                                static_cast<double>(y), op, spatial_weight,
                                min_dist.data() + off, labels_ptr + off);
         }
@@ -263,8 +255,8 @@ void CpaSlic::segment_lab_into(const LabImage& lab, Segmentation& result,
         for (int y = ylo; y < yhi; ++y) {
           const std::size_t off =
               static_cast<std::size_t>(y) * static_cast<std::size_t>(w);
-          kt.accumulate_row(planes.L.data() + off, planes.a.data() + off,
-                            planes.b.data() + off, 0, w, y, labels_ptr + off,
+          kt.accumulate_row(lab.L.data() + off, lab.a.data() + off,
+                            lab.b.data() + off, 0, w, y, labels_ptr + off,
                             pool.data());
         }
       };
@@ -354,18 +346,13 @@ void CpaSlic::segment_lab_into(const LabImage& lab, Segmentation& result,
     stats.elapsed_ms = iter_watch.elapsed_ms();
     result.trace.push_back(stats);
 
-    if (callback) {
-      Stopwatch cb_watch;
-      callback(stats, result.labels, result.centers);
-      callback_ms_total += cb_watch.elapsed_ms();
-    }
+    if (callback) callback(stats, result.labels, result.centers);
     if (params_.convergence_threshold > 0.0 &&
         stats.center_movement < params_.convergence_threshold &&
         iter + 1 >= schedule.count()) {
       break;  // every subset has been visited at least once
     }
   }
-  (void)callback_ms_total;  // callbacks are excluded from phase totals by design
 
   if (params_.enforce_connectivity) {
     trace::Interval connectivity_stage;

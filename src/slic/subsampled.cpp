@@ -9,7 +9,6 @@
 #include "common/check.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
-#include "image/planar.h"
 #include "slic/assign_kernels.h"
 #include "slic/center_update.h"
 #include "slic/connectivity.h"
@@ -31,12 +30,8 @@ Segmentation PpaSlic::segment(const RgbImage& image,
                               Instrumentation* instrumentation,
                               PhaseTimer* phases) const {
   LabImage lab;
-  {
-    Stopwatch watch;
-    lab = srgb_to_lab(image);
-    if (phases != nullptr)
-      phases->add(CpaSlic::kPhaseColorConversion, watch.elapsed_ms());
-  }
+  const double convert_ms = srgb_to_lab(image, lab);
+  if (phases != nullptr) phases->add(CpaSlic::kPhaseColorConversion, convert_ms);
   return segment_lab(lab, callback, instrumentation, phases);
 }
 
@@ -149,9 +144,12 @@ void PpaSlic::segment_impl(const LabImage& lab,
   // image is already in stored form — no copy needed.
   const LabImage* stored_ptr = &lab;
   if (data_width_.color_bits != 0) {
-    scratch.stored = lab;
-    for (auto& px : scratch.stored.pixels()) px = dist.quantize(px);
-    stored_ptr = &scratch.stored;
+    LabImage& quantized = scratch.stored;
+    if (quantized.width() != w || quantized.height() != h)
+      quantized = LabImage(w, h);
+    for (int y = 0; y < h; ++y)
+      for (int x = 0; x < w; ++x) quantized.set(x, y, dist.quantize(lab(x, y)));
+    stored_ptr = &quantized;
   }
   const LabImage& stored = *stored_ptr;
 
@@ -182,11 +180,9 @@ void PpaSlic::segment_impl(const LabImage& lab,
   std::vector<double>& min_dist = scratch.min_dist;
   min_dist.assign(n, std::numeric_limits<double>::infinity());
 
-  // Planar split of the (quantized) stored image feeds the vectorized
-  // candidate kernel; the subset mask is materialized per row. Kernel
-  // dispatch is resolved once, outside the tile loops.
-  split_lab_planes(stored, scratch.planes);
-  const LabPlanes& planes = scratch.planes;
+  // The (quantized) stored planes feed the vectorized candidate kernel;
+  // the subset mask is materialized per row. Kernel dispatch is resolved
+  // once, outside the tile loops.
   const kernels::KernelTable& kt = kernels::active();
   const double spatial_weight = dist.spatial_weight();
 
@@ -308,8 +304,8 @@ void PpaSlic::segment_impl(const LabImage& lab,
           }
           SSLIC_TRACE_SCOPE_AT(2, "ppa.kernel.row", y);
           kt.assign_candidates_row(
-              planes.L.data() + off, planes.a.data() + off,
-              planes.b.data() + off, x0, count, static_cast<double>(y),
+              stored.L.data() + off, stored.a.data() + off,
+              stored.b.data() + off, x0, count, static_cast<double>(y),
               cand_ops.data(), static_cast<std::int32_t>(cand.size()),
               spatial_weight, mask, min_dist.data() + off, labels + off);
           tally.pixels_visited += visited;
@@ -384,9 +380,9 @@ void PpaSlic::segment_impl(const LabImage& lab,
             int run_end = x;
             while (run_end < w && owned(row_labels[run_end])) ++run_end;
             if (run_end > x) {
-              kt.accumulate_row(planes.L.data() + row + x,
-                                planes.a.data() + row + x,
-                                planes.b.data() + row + x, x, run_end - x, y,
+              kt.accumulate_row(stored.L.data() + row + x,
+                                stored.a.data() + row + x,
+                                stored.b.data() + row + x, x, run_end - x, y,
                                 row_labels + x, sigmas.data());
               accumulated += static_cast<std::uint64_t>(run_end - x);
             }
@@ -409,8 +405,7 @@ void PpaSlic::segment_impl(const LabImage& lab,
           }
           const std::int32_t label = row_labels[x];
           if (!owned(label)) continue;
-          sigmas[static_cast<std::size_t>(label)].add(
-              stored.pixels()[row + static_cast<std::size_t>(x)], x, y);
+          sigmas[static_cast<std::size_t>(label)].add(stored(x, y), x, y);
           accumulated += 1;
         }
       }

@@ -49,12 +49,8 @@ const Segmentation& TemporalSlic::next_frame(const RgbImage& frame,
   const bool can_warm = has_state() && frame.width() == state_width_ &&
                         frame.height() == state_height_;
 
-  {
-    Stopwatch watch;
-    srgb_to_lab(frame, lab_);
-    if (phases != nullptr)
-      phases->add(CpaSlic::kPhaseColorConversion, watch.elapsed_ms());
-  }
+  const double convert_ms = srgb_to_lab(frame, lab_);
+  if (phases != nullptr) phases->add(CpaSlic::kPhaseColorConversion, convert_ms);
 
   if (can_warm) {
     warm_.segment_lab_warm_into(lab_, previous_centers_, result_, scratch_, {},

@@ -35,8 +35,9 @@ namespace {
 constexpr int kReleaseStride = 128;
 
 /// Monolithic working-set estimate (bytes/pixel) for the fallback decision:
-/// Lab input (12) + channel planes (12) + labels (4) + connectivity output
-/// (4) + min-distance plane (8).
+/// Lab planes (12) + labels (4) + min-distance plane (8) + seeding gradient
+/// plane (4) + connectivity run records (<= 12: reserved for one run per
+/// pixel, paged in only as they are written).
 constexpr std::size_t kMonolithicBytesPerPixel = 40;
 
 void publish_tiled_path(bool tiled) {
@@ -262,8 +263,10 @@ class TiledRun {
       // Degenerate geometry (2-pixel edge): the patch trick's in-bounds
       // argument needs w,h >= 3. Materialize — the image is tiny.
       LabImage lab(w_, h_);
-      for (int y = 0; y < h_; ++y)
-        for (int x = 0; x < w_; ++x) lab(x, y) = lab_at(flat(x, y));
+      const std::size_t n = lab.size();
+      std::copy_n(pl_, n, lab.L.data());
+      std::copy_n(pa_, n, lab.a.data());
+      std::copy_n(pb_, n, lab.b.data());
       Image<float> gradient;
       seed_centers(grid_, lab, perturb, centers, gradient);
       return;
@@ -289,7 +292,7 @@ class TiledRun {
             const int sy = std::clamp(cy + ly - 2, 0, h_ - 1);
             for (int lx = 0; lx < 5; ++lx) {
               const int sx = std::clamp(cx + lx - 2, 0, w_ - 1);
-              patch(lx, ly) = lab_at(flat(sx, sy));
+              patch.set(lx, ly, lab_at(flat(sx, sy)));
             }
           }
           lab_gradient_magnitude(patch, patch_grad);
@@ -1048,21 +1051,14 @@ Segmentation TiledSegmenter::segment_lab(const LabImage& lab,
   PlanarStore store;
   store.open(w, h, needs_min_dist,
              {config_.spill_to_disk, config_.spill_dir});
-  float* pl = store.lab_l();
-  float* pa = store.lab_a();
-  float* pb = store.lab_b();
   parallel_for(0, h, [&](std::int64_t ylo, std::int64_t yhi) {
-    for (int y = static_cast<int>(ylo); y < static_cast<int>(yhi); ++y) {
-      for (int x = 0; x < w; ++x) {
-        const std::size_t f =
-            static_cast<std::size_t>(y) * static_cast<std::size_t>(w) +
-            static_cast<std::size_t>(x);
-        const LabF& px = lab(x, y);
-        pl[f] = px.L;
-        pa[f] = px.a;
-        pb[f] = px.b;
-      }
-    }
+    const std::size_t begin =
+        static_cast<std::size_t>(ylo) * static_cast<std::size_t>(w);
+    const std::size_t count =
+        static_cast<std::size_t>(yhi - ylo) * static_cast<std::size_t>(w);
+    std::copy_n(lab.L.data() + begin, count, store.lab_l() + begin);
+    std::copy_n(lab.a.data() + begin, count, store.lab_a() + begin);
+    std::copy_n(lab.b.data() + begin, count, store.lab_b() + begin);
   });
 
   Segmentation result;

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "color/color_convert.h"
 #include "color/lab8.h"
 #include "color/lut_color_unit.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 
 namespace sslic {
 namespace {
@@ -96,12 +98,34 @@ TEST(ColorReference, InverseRoundTrips) {
 }
 
 TEST(ColorReference, FullImageConversionMatchesPerPixel) {
-  RgbImage img(3, 2);
-  img(0, 0) = {10, 20, 30};
-  img(2, 1) = {200, 100, 50};
-  const LabImage lab = srgb_to_lab(img);
-  EXPECT_EQ(lab(0, 0), srgb_to_lab(img(0, 0)));
-  EXPECT_EQ(lab(2, 1), srgb_to_lab(img(2, 1)));
+  // Every pixel of every plane, byte for byte, at pool widths that split
+  // the plane writes differently (257x131 divides evenly by none of them).
+  RgbImage img(257, 131);
+  Rng rng(97);
+  for (auto& px : img.pixels())
+    px = {static_cast<std::uint8_t>(rng.next_int(0, 255)),
+          static_cast<std::uint8_t>(rng.next_int(0, 255)),
+          static_cast<std::uint8_t>(rng.next_int(0, 255))};
+  struct GlobalThreadsGuard {
+    ~GlobalThreadsGuard() { ThreadPool::set_global_threads(0); }
+  } threads_guard;
+  for (const int threads : {1, 3, 8}) {
+    SCOPED_TRACE(threads);
+    ThreadPool::set_global_threads(threads);
+    const LabImage lab = srgb_to_lab(img);
+    ASSERT_EQ(lab.width(), img.width());
+    ASSERT_EQ(lab.height(), img.height());
+    int mismatches = 0;
+    for (int y = 0; y < img.height(); ++y) {
+      for (int x = 0; x < img.width(); ++x) {
+        const LabF want = srgb_to_lab(img(x, y));
+        mismatches += std::memcmp(&lab.L(x, y), &want.L, sizeof(float)) != 0;
+        mismatches += std::memcmp(&lab.a(x, y), &want.a, sizeof(float)) != 0;
+        mismatches += std::memcmp(&lab.b(x, y), &want.b, sizeof(float)) != 0;
+      }
+    }
+    EXPECT_EQ(mismatches, 0);
+  }
 }
 
 // ------------------------------------------------------------------- Lab8

@@ -233,7 +233,7 @@ TEST(Gradient, FlatImageHasZeroGradient) {
 TEST(Gradient, VerticalEdgeDetected) {
   LabImage lab(8, 8, LabF{20.0f, 0.0f, 0.0f});
   for (int y = 0; y < 8; ++y)
-    for (int x = 4; x < 8; ++x) lab(x, y) = {80.0f, 0.0f, 0.0f};
+    for (int x = 4; x < 8; ++x) lab.set(x, y, {80.0f, 0.0f, 0.0f});
   const Image<float> g = lab_gradient_magnitude(lab);
   // Gradient peaks on the columns adjacent to the edge.
   EXPECT_GT(g(4, 4), g(1, 4));

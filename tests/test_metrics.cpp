@@ -203,7 +203,7 @@ TEST(Compactness, InUnitInterval) {
 TEST(ExplainedVariation, PerfectWhenSuperpixelsMatchColorRegions) {
   LabImage lab(16, 8, LabF{20.0f, 0.0f, 0.0f});
   for (int y = 0; y < 8; ++y)
-    for (int x = 8; x < 16; ++x) lab(x, y) = {80.0f, 10.0f, -10.0f};
+    for (int x = 8; x < 16; ++x) lab.set(x, y, {80.0f, 10.0f, -10.0f});
   const LabelImage sp = split_vertical(16, 8, 8);
   EXPECT_NEAR(explained_variation(sp, lab), 1.0, 1e-12);
 }
@@ -213,7 +213,7 @@ TEST(ExplainedVariation, ZeroWhenSuperpixelsIgnoreColor) {
   // contain the same mix: means equal the global mean -> nothing explained.
   LabImage lab(16, 8, LabF{20.0f, 0.0f, 0.0f});
   for (int y = 4; y < 8; ++y)
-    for (int x = 0; x < 16; ++x) lab(x, y) = {80.0f, 0.0f, 0.0f};
+    for (int x = 0; x < 16; ++x) lab.set(x, y, {80.0f, 0.0f, 0.0f});
   const LabelImage sp = split_vertical(16, 8, 8);  // vertical split
   EXPECT_NEAR(explained_variation(sp, lab), 0.0, 1e-12);
 }
@@ -229,7 +229,7 @@ TEST(ExplainedVariation, MonotoneInPartitionRefinement) {
   LabImage lab(32, 32);
   for (int y = 0; y < 32; ++y)
     for (int x = 0; x < 32; ++x)
-      lab(x, y) = {static_cast<float>((x * 13 + y * 7) % 60), 0.0f, 0.0f};
+      lab.set(x, y, {static_cast<float>((x * 13 + y * 7) % 60), 0.0f, 0.0f});
   const double coarse = explained_variation(grid_labels(32, 32, 16, 16), lab);
   const double fine = explained_variation(grid_labels(32, 32, 4, 4), lab);
   EXPECT_GE(fine, coarse - 1e-12);

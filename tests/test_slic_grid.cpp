@@ -117,7 +117,7 @@ TEST(SeedCenters, PerturbationMovesOffEdges) {
   const CenterGrid grid(30, 30, 1);
   const int cx = static_cast<int>(grid.center_pos_x(0));
   for (int y = 0; y < 30; ++y)
-    for (int x = cx; x < 30; ++x) lab(x, y) = {90.0f, 0.0f, 0.0f};
+    for (int x = cx; x < 30; ++x) lab.set(x, y, {90.0f, 0.0f, 0.0f});
   const auto centers = seed_centers(grid, lab, /*perturb=*/true);
   // Gradient is zero two columns away from the edge but large at cx-1..cx.
   EXPECT_NE(static_cast<int>(centers[0].x), cx);
@@ -128,7 +128,7 @@ TEST(SeedCenters, PerturbationBoundedTo3x3) {
   LabImage lab(60, 60);
   for (int y = 0; y < 60; ++y)
     for (int x = 0; x < 60; ++x)
-      lab(x, y) = {static_cast<float>((x * 7 + y * 13) % 50), 0.0f, 0.0f};
+      lab.set(x, y, {static_cast<float>((x * 7 + y * 13) % 50), 0.0f, 0.0f});
   const CenterGrid grid(60, 60, 9);
   const auto plain = seed_centers(grid, lab, false);
   const auto perturbed = seed_centers(grid, lab, true);

@@ -30,6 +30,7 @@
 #include "slic/slic_baseline.h"
 #include "slic/subsampled.h"
 #include "slic/telemetry_bridge.h"
+#include "slic/temporal.h"
 
 namespace sslic {
 namespace {
@@ -660,8 +661,12 @@ TEST(Trace, StageSpansMatchPhaseTimer) {
   params.num_superpixels = 64;
   params.max_iterations = 4;
 
+  // The Lab entry points start after conversion; the RGB entry points and
+  // TemporalSlic also time the conversion stage.
+  enum class Entry { kLab, kRgb, kTemporal };
   struct Case {
     const char* label;
+    Entry entry;
     bool ppa;
     bool fused;
     const char* init;
@@ -670,12 +675,18 @@ TEST(Trace, StageSpansMatchPhaseTimer) {
     const char* connectivity;
   };
   const Case cases[] = {
-      {"CPA fused", false, true, "cpa.init", "cpa.assign",
+      {"CPA fused", Entry::kLab, false, true, "cpa.init", "cpa.assign",
        "cpa.fused_accumulate", "cpa.connectivity"},
-      {"CPA two-pass", false, false, "cpa.init", "cpa.assign", "cpa.update",
-       "cpa.connectivity"},
-      {"PPA(0.5)", true, true, "ppa.init", "ppa.assign", "ppa.update",
-       "ppa.connectivity"},
+      {"CPA two-pass", Entry::kLab, false, false, "cpa.init", "cpa.assign",
+       "cpa.update", "cpa.connectivity"},
+      {"PPA(0.5)", Entry::kLab, true, true, "ppa.init", "ppa.assign",
+       "ppa.update", "ppa.connectivity"},
+      {"CpaSlic::segment", Entry::kRgb, false, true, "cpa.init", "cpa.assign",
+       "cpa.fused_accumulate", "cpa.connectivity"},
+      {"PpaSlic(0.5)::segment", Entry::kRgb, true, true, "ppa.init",
+       "ppa.assign", "ppa.update", "ppa.connectivity"},
+      {"TemporalSlic, two frames", Entry::kTemporal, true, true, "ppa.init",
+       "ppa.assign", "ppa.update", "ppa.connectivity"},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.label);
@@ -684,21 +695,40 @@ TEST(Trace, StageSpansMatchPhaseTimer) {
     trace::set_armed(true);
     {
       const FusionGuard guard(c.fused);
-      if (c.ppa) {
-        SlicParams ppa_params = params;
-        ppa_params.subsample_ratio = 0.5;
-        (void)PpaSlic(ppa_params).segment_lab(lab, {}, nullptr, &phases);
-      } else {
-        (void)CpaSlic(params).segment_lab(lab, {}, nullptr, &phases);
+      SlicParams run_params = params;
+      if (c.ppa) run_params.subsample_ratio = 0.5;
+      switch (c.entry) {
+        case Entry::kLab:
+          if (c.ppa) {
+            (void)PpaSlic(run_params).segment_lab(lab, {}, nullptr, &phases);
+          } else {
+            (void)CpaSlic(run_params).segment_lab(lab, {}, nullptr, &phases);
+          }
+          break;
+        case Entry::kRgb:
+          if (c.ppa) {
+            (void)PpaSlic(run_params).segment(gt.image, {}, nullptr, &phases);
+          } else {
+            (void)CpaSlic(run_params).segment(gt.image, {}, nullptr, &phases);
+          }
+          break;
+        case Entry::kTemporal: {
+          TemporalSlic temporal(run_params);
+          for (int frame = 0; frame < 2; ++frame)
+            (void)temporal.next_frame(gt.image, nullptr, &phases);
+          break;
+        }
       }
     }
     const std::vector<ParsedEvent> events = parse_trace(serialize_session());
-    const std::pair<const char*, const char*> pairs[] = {
+    std::vector<std::pair<const char*, const char*>> pairs = {
         {CpaSlic::kPhaseOther, c.init},
         {CpaSlic::kPhaseDistanceMin, c.assign},
         {CpaSlic::kPhaseCenterUpdate, c.update},
         {CpaSlic::kPhaseConnectivity, c.connectivity},
     };
+    if (c.entry != Entry::kLab)
+      pairs.emplace_back(CpaSlic::kPhaseColorConversion, "color.srgb_to_lab");
     for (const auto& [phase, span] : pairs) {
       double span_ns = 0.0;
       int spans = 0;

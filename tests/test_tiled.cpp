@@ -236,8 +236,8 @@ TEST(TiledIdentity, DegenerateTinyImages) {
     LabImage lab(w, h);
     for (int y = 0; y < h; ++y)
       for (int x = 0; x < w; ++x)
-        lab(x, y) = LabF{static_cast<float>(10 * x + y),
-                         static_cast<float>(x - y), static_cast<float>(x * y)};
+        lab.set(x, y, LabF{static_cast<float>(10 * x + y),
+                           static_cast<float>(x - y), static_cast<float>(x * y)});
     Variant v{"tiny", Algorithm::kSslicCpa, {}};
     v.params.num_superpixels = 2;
     v.params.max_iterations = 3;
