@@ -2,7 +2,8 @@
 // the CPU (the paper profiled an i7-4600M on the Berkeley benchmark).
 //
 // Phases: color conversion / distance+min / center update / other
-// (initialization + connectivity enforcement).
+// (initialization + connectivity enforcement), read from the stage times
+// each run leaves in its Instrumentation record.
 #include <iostream>
 #include <vector>
 
@@ -24,47 +25,61 @@ int main(int argc, char** argv) {
   const SyntheticCorpus corpus(config.dataset_params(), config.images,
                                config.seed);
 
-  PhaseTimer slic_phases;
-  PhaseTimer sslic_phases;
+  // Stage times summed over the corpus.
+  Instrumentation slic_total;
+  Instrumentation sslic_total;
+  const auto add_stages = [](Instrumentation& total, const Instrumentation& run) {
+    total.convert_ms += run.convert_ms;
+    total.init_ms += run.init_ms;
+    total.assign_ms += run.assign_ms;
+    total.update_ms += run.update_ms;
+    total.connectivity_ms += run.connectivity_ms;
+  };
   for (int i = 0; i < corpus.size(); ++i) {
     const GroundTruthImage gt = corpus.generate(i);
+    Instrumentation run;
 
     SlicParams slic_params = config.slic_params();
-    (void)CpaSlic(slic_params).segment(gt.image, {}, nullptr, &slic_phases);
+    (void)CpaSlic(slic_params).segment(gt.image, {}, &run);
+    add_stages(slic_total, run);
 
     SlicParams sslic_params = config.slic_params();
     sslic_params.subsample_ratio = 0.5;
     // "the same number of full iterations": subset iterations doubled so
     // centers update twice as often (the Table-1 observation).
     sslic_params.max_iterations = config.iterations * 2;
-    (void)PpaSlic(sslic_params).segment(gt.image, {}, nullptr, &sslic_phases);
+    (void)PpaSlic(sslic_params).segment(gt.image, {}, &run);
+    add_stages(sslic_total, run);
   }
 
+  using Stage = double Instrumentation::*;
   struct PaperRow {
     const char* phase;
-    std::vector<const char*> keys;  ///< PhaseTimer phases the row sums
+    std::vector<Stage> stages;  ///< Instrumentation stage times the row sums
     double slic_pct;
     double sslic_pct;
   };
   const PaperRow rows[] = {
-      {"Color Conversion", {CpaSlic::kPhaseColorConversion}, 23.4, 18.7},
-      {"Distance + Min", {CpaSlic::kPhaseDistanceMin}, 65.9, 59.7},
-      {"Center Update", {CpaSlic::kPhaseCenterUpdate}, 10.2, 17.9},
+      {"Color Conversion", {&Instrumentation::convert_ms}, 23.4, 18.7},
+      {"Distance + Min", {&Instrumentation::assign_ms}, 65.9, 59.7},
+      {"Center Update", {&Instrumentation::update_ms}, 10.2, 17.9},
       // The paper's "Other" is initialization plus connectivity.
-      {"Other", {CpaSlic::kPhaseOther, CpaSlic::kPhaseConnectivity}, 0.5, 3.7},
+      {"Other", {&Instrumentation::init_ms, &Instrumentation::connectivity_ms},
+       0.5, 3.7},
   };
-  const auto percent = [](const PhaseTimer& phases, const PaperRow& row) {
-    double fraction = 0.0;
-    for (const char* key : row.keys) fraction += phases.phase_fraction(key);
-    return fraction * 100.0;
+  const auto percent = [](const Instrumentation& total, const PaperRow& row) {
+    if (total.stages_ms() <= 0.0) return 0.0;
+    double ms = 0.0;
+    for (const Stage stage : row.stages) ms += total.*stage;
+    return ms / total.stages_ms() * 100.0;
   };
 
   Table table("Phase breakdown (measured vs paper)");
   table.set_header({"phase", "SLIC %", "(paper)", "S-SLIC %", "(paper)"});
   for (const auto& row : rows) {
-    table.add_row({row.phase, Table::num(percent(slic_phases, row), 1),
+    table.add_row({row.phase, Table::num(percent(slic_total, row), 1),
                    Table::num(row.slic_pct, 1),
-                   Table::num(percent(sslic_phases, row), 1),
+                   Table::num(percent(sslic_total, row), 1),
                    Table::num(row.sslic_pct, 1)});
   }
   table.add_note("mean over " + std::to_string(config.images) +
@@ -76,9 +91,9 @@ int main(int argc, char** argv) {
   std::cout << table;
 
   std::cout << "\ntotal mean per-image time: SLIC "
-            << Table::num(slic_phases.total_ms() / config.images, 1)
+            << Table::num(slic_total.stages_ms() / config.images, 1)
             << " ms, S-SLIC(0.5) "
-            << Table::num(sslic_phases.total_ms() / config.images, 1)
+            << Table::num(sslic_total.stages_ms() / config.images, 1)
             << " ms\n";
   return 0;
 }

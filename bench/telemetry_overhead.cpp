@@ -160,7 +160,7 @@ int main(int argc, char** argv) {
         event.completed_ns = trace::now_ns();
         event.segment_ms = frame_ms;
         event.e2e_ms = frame_ms;
-        event.isa = simd::isa_name(simd::preferred_isa());
+        event.isa = simd::isa_name(kernels::active_isa());
         event.batch_frames = 1;
         ops::record_frame_event(event);
       } else {

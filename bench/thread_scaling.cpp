@@ -7,9 +7,10 @@
 // 8-thread run on a 2-core box produces numbers that look like scaling data
 // but measure scheduler thrash; pass --oversubscribe=1 to keep them.
 //
-// Each frame is timed end to end (color conversion included) with a
-// per-stage breakdown — convert / assign (distance+min) / center update /
-// other — so regressions can be attributed to a stage. Labels are
+// Each frame is timed end to end (color conversion included) with the
+// per-stage breakdown its Instrumentation record carries — convert /
+// assign (distance+min) / update / connectivity / other (initialization) —
+// so regressions can be attributed to a stage. Labels are
 // cross-checked against the serial result at every thread count — the
 // determinism contract says they must be bit-identical (see DESIGN.md
 // "Parallel execution").
@@ -101,14 +102,16 @@ int main(int argc, char** argv) {
   params.subsample_ratio = ratio;
   const CpaSlic slic(params);
 
-  // Stage keys, in reporting order. "assign" is the distance+min phase the
-  // SIMD kernels accelerate; "convert" is sRGB->Lab.
-  const std::vector<std::pair<std::string, std::string>> stages = {
-      {"convert", CpaSlic::kPhaseColorConversion},
-      {"assign", CpaSlic::kPhaseDistanceMin},
-      {"update", CpaSlic::kPhaseCenterUpdate},
-      {"connectivity", CpaSlic::kPhaseConnectivity},
-      {"other", CpaSlic::kPhaseOther}};
+  // Stage keys, in reporting order, and the Instrumentation stage time each
+  // reads. "assign" is the distance+min stage the SIMD kernels accelerate;
+  // "convert" is sRGB->Lab; "other" is initialization (seeding).
+  const std::vector<std::pair<std::string, double Instrumentation::*>>
+      stages = {
+      {"convert", &Instrumentation::convert_ms},
+      {"assign", &Instrumentation::assign_ms},
+      {"update", &Instrumentation::update_ms},
+      {"connectivity", &Instrumentation::connectivity_ms},
+      {"other", &Instrumentation::init_ms}};
 
   struct Point {
     int threads = 0;
@@ -129,15 +132,15 @@ int main(int argc, char** argv) {
     std::map<std::string, std::vector<double>> stage_samples;
     Segmentation seg;
     for (int f = 0; f < frames; ++f) {
-      PhaseTimer phases;
+      Instrumentation instr;
       Stopwatch watch;
-      seg = slic.segment(gt.image, {}, nullptr, &phases);
+      seg = slic.segment(gt.image, {}, &instr);
       samples.push_back(watch.elapsed_ms());
-      for (const auto& [key, phase] : stages)
-        stage_samples[key].push_back(phases.phase_ms(phase));
+      for (const auto& [key, stage] : stages)
+        stage_samples[key].push_back(instr.*stage);
     }
     point.ms = median(samples);
-    for (const auto& [key, phase] : stages)
+    for (const auto& [key, stage] : stages)
       point.stage_ms[key] = median(stage_samples[key]);
 
     if (threads == 1)
@@ -191,7 +194,7 @@ int main(int argc, char** argv) {
       }
       const Point& point = points[next_point++];
       bench::Json stages_json = bench::Json::object();
-      for (const auto& [key, phase] : stages)
+      for (const auto& [key, stage] : stages)
         stages_json.set(key, point.stage_ms.at(key));
       sweep_json.push(bench::Json::object()
                           .set("threads", point.threads)

@@ -73,6 +73,7 @@
 #include "image/draw.h"
 #include "image/io.h"
 #include "metrics/segmentation_metrics.h"
+#include "slic/assign_kernels.h"
 #include "slic/fusion.h"
 #include "slic/hw_datapath.h"
 #include "slic/slic_baseline.h"
@@ -293,7 +294,8 @@ int main(int argc, char** argv) {
   std::cout << "segmenting a synthetic " << width << 'x' << height << " stream, "
             << frames << " frames, K=" << superpixels << ", S-SLIC(" << ratio
             << ") golden model, " << ThreadPool::global().threads()
-            << " thread(s), simd=" << sslic::simd::isa_name(sslic::simd::preferred_isa())
+            << " thread(s), simd="
+            << sslic::simd::isa_name(sslic::kernels::active_isa())
             << ", fused iteration " << (fusion_enabled() ? "on" : "off")
             << "\n\n";
 

@@ -49,7 +49,8 @@ LabImage srgb_to_lab(const RgbImage& image);
 /// the dimensions change. Allocation-free at steady state (the video loop
 /// reuses one Lab frame across the stream). The conversion is one stage
 /// clock: it records the `color.srgb_to_lab` span and returns the same
-/// measurement in milliseconds, for the caller's PhaseTimer.
+/// measurement in milliseconds, for the caller's
+/// `Instrumentation::convert_ms`.
 double srgb_to_lab(const RgbImage& image, LabImage& lab);
 
 /// Inverse conversion (CIELAB -> 8-bit sRGB, channels clamped), used by the

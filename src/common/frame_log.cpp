@@ -1,10 +1,7 @@
 #include "common/frame_log.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <mutex>
-#include <new>
 
 namespace sslic::ops {
 
@@ -32,47 +29,19 @@ constexpr std::size_t kMaxAggregates = 256;
 
 // All state below is guarded by mutex() — recording is once per frame, so a
 // plain lock is cheaper to reason about than lock-free rings and is still
-// invisible at frame cadence. The mutex and ring are leaked on purpose
+// invisible at frame cadence. The mutex is leaked on purpose
 // (process-lifetime, like the trace registry): an atexit-ordered destructor
-// racing a recording thread is a worse failure mode than 16 KiB held to exit.
+// racing a recording thread is a worse failure mode. The arrays are
+// constant-initialized and trivially destructible.
 std::mutex& mutex() {
   static std::mutex* m = new std::mutex;
   return *m;
 }
 
-WideFrameEvent* g_ring = nullptr;   // malloc-backed, sized at first record
-std::size_t g_capacity = 0;
-std::uint64_t g_recorded = 0;       // total ever; ring index = total % capacity
+WideFrameEvent g_ring[kFramezCapacity];
+std::uint64_t g_recorded = 0;  // total ever; ring index = total % capacity
 StreamAggregate g_aggregates[kMaxAggregates];
 std::uint64_t g_aggregate_overflow = 0;  // events whose stream found no slot
-
-std::size_t configured_capacity() {
-  static const std::size_t capacity = [] {
-    if (const char* env = std::getenv("SSLIC_FRAMEZ_EVENTS")) {
-      char* end = nullptr;
-      const long parsed = std::strtol(env, &end, 10);
-      if (end != env && *end == '\0' && parsed >= 16 && parsed <= (1L << 20))
-        return static_cast<std::size_t>(parsed);
-    }
-    return static_cast<std::size_t>(256);
-  }();
-  return capacity;
-}
-
-/// malloc, not operator new: the ring is process-lifetime infrastructure and
-/// must stay outside the zero-allocation steady-state accounting
-/// (common/alloc_counter.h counts operator new only).
-bool ensure_ring_locked() {
-  if (g_ring != nullptr) return true;
-  const std::size_t capacity = configured_capacity();
-  auto* ring = static_cast<WideFrameEvent*>(
-      std::malloc(sizeof(WideFrameEvent) * capacity));
-  if (ring == nullptr) return false;
-  for (std::size_t i = 0; i < capacity; ++i) new (ring + i) WideFrameEvent;
-  g_ring = ring;
-  g_capacity = capacity;
-  return true;
-}
 
 StreamAggregate* find_aggregate_locked(int engine_id, std::uint64_t stream_id) {
   for (std::size_t i = 0; i < kMaxAggregates; ++i) {
@@ -107,8 +76,7 @@ void append_escaped(std::string& out, const char* s) {
 
 void record_frame_event(const WideFrameEvent& event) {
   const std::lock_guard<std::mutex> lock(mutex());
-  if (!ensure_ring_locked()) return;
-  g_ring[g_recorded % g_capacity] = event;
+  g_ring[g_recorded % kFramezCapacity] = event;
   ++g_recorded;
   StreamAggregate* agg = find_aggregate_locked(event.engine_id,
                                                event.stream_id);
@@ -132,8 +100,6 @@ std::uint64_t frame_events_recorded() {
   return g_recorded;
 }
 
-std::size_t framez_capacity() { return configured_capacity(); }
-
 void append_frame_event_json(std::string& out, const WideFrameEvent& e) {
   out += "{\"trace_id\": " + std::to_string(e.trace_id);
   out += ", \"engine\": " + std::to_string(e.engine_id);
@@ -152,6 +118,18 @@ void append_frame_event_json(std::string& out, const WideFrameEvent& e) {
   append_num(out, e.segment_ms);
   out += ", \"callback\": ";
   append_num(out, e.callback_ms);
+  // The segmenter's stages lie inside `segment`, so they get their own
+  // object and `stages_ms` keeps tiling `e2e_ms` exactly.
+  out += "}, \"segment_stages_ms\": {\"convert\": ";
+  append_num(out, e.convert_ms);
+  out += ", \"init\": ";
+  append_num(out, e.init_ms);
+  out += ", \"assign\": ";
+  append_num(out, e.assign_ms);
+  out += ", \"update\": ";
+  append_num(out, e.update_ms);
+  out += ", \"connectivity\": ";
+  append_num(out, e.connectivity_ms);
   out += "}, \"iterations\": " + std::to_string(e.iterations);
   out += ", \"isa\": \"";
   append_escaped(out, e.isa != nullptr ? e.isa : "");
@@ -169,16 +147,16 @@ std::string framez_json() {
   const std::lock_guard<std::mutex> lock(mutex());
   std::string out;
   out.reserve(4096);
-  out += "{\"capacity\": " + std::to_string(configured_capacity());
+  out += "{\"capacity\": " + std::to_string(kFramezCapacity);
   out += ", \"recorded\": " + std::to_string(g_recorded);
   out += ", \"aggregate_overflow\": " + std::to_string(g_aggregate_overflow);
   out += ", \"recent\": [";
-  if (g_ring != nullptr && g_recorded > 0) {
+  if (g_recorded > 0) {
     const std::uint64_t retained =
-        g_recorded < g_capacity ? g_recorded : g_capacity;
+        g_recorded < kFramezCapacity ? g_recorded : kFramezCapacity;
     for (std::uint64_t i = g_recorded - retained; i < g_recorded; ++i) {
       out += i == g_recorded - retained ? "\n" : ",\n";
-      append_frame_event_json(out, g_ring[i % g_capacity]);
+      append_frame_event_json(out, g_ring[i % kFramezCapacity]);
     }
     out += "\n";
   }
@@ -217,12 +195,11 @@ std::string framez_json() {
 std::vector<WideFrameEvent> recent_frame_events() {
   const std::lock_guard<std::mutex> lock(mutex());
   std::vector<WideFrameEvent> out;
-  if (g_ring == nullptr || g_recorded == 0) return out;
   const std::uint64_t retained =
-      g_recorded < g_capacity ? g_recorded : g_capacity;
+      g_recorded < kFramezCapacity ? g_recorded : kFramezCapacity;
   out.reserve(static_cast<std::size_t>(retained));
   for (std::uint64_t i = g_recorded - retained; i < g_recorded; ++i)
-    out.push_back(g_ring[i % g_capacity]);
+    out.push_back(g_ring[i % kFramezCapacity]);
   return out;
 }
 

@@ -6,13 +6,13 @@
 // id that spans (/tracez) and histogram exemplars (/metrics) carry — so a
 // tail sample resolves to a full causal timeline in two lookups.
 //
-// Storage is a process-wide wrapping ring of POD records plus a fixed-slot
-// per-(engine, stream) aggregation table, both sized at first use and
-// malloc-backed: recording a frame in steady state allocates nothing through
-// operator new, preserving the zero-allocation accounting of the video
-// pipeline. Writers and readers share one mutex — recording happens once
-// per *frame* (not per pixel or per span), so contention is negligible, and
-// the lock keeps /framez serialization trivially race-free.
+// Storage is a process-wide wrapping ring of kFramezCapacity POD records
+// plus a fixed-slot per-(engine, stream) aggregation table, both static
+// arrays: recording a frame allocates nothing, preserving the
+// zero-allocation accounting of the video pipeline. Writers and readers
+// share one mutex — recording happens once per *frame* (not per pixel or
+// per span), so contention is negligible, and the lock keeps /framez
+// serialization trivially race-free.
 //
 // The log is part of the telemetry layer, not the ops server: it is compiled
 // and functional even in -DSSLIC_OPS=OFF builds (the `/framez` endpoint is
@@ -29,8 +29,10 @@ namespace sslic::ops {
 /// One completed frame's causal record. Stage durations are a contiguous
 /// decomposition of the frame's end-to-end latency: each boundary is one
 /// clock read, so the five stages sum to `e2e_ms` up to floating-point
-/// rounding. `isa` points at a static-storage name string (the recording
-/// layer never frees or copies it).
+/// rounding. The segmenter's own stages break `segment_ms` down further;
+/// they are timed inside it and sum to at most `segment_ms`. `isa` points
+/// at a static-storage name string (the recording layer never frees or
+/// copies it).
 struct WideFrameEvent {
   std::uint64_t trace_id = 0;   ///< frame context id (trace.h), never 0
   int engine_id = 0;            ///< StreamEngine instance, -1 = standalone
@@ -46,9 +48,17 @@ struct WideFrameEvent {
   double callback_ms = 0.0;     ///< segment end -> completion published
   double e2e_ms = 0.0;          ///< sum of the above (= submit -> published)
 
+  // Segmenter stages inside segment_ms (milliseconds, Instrumentation's
+  // convert/init/assign/update/connectivity times; paper Table 1):
+  double convert_ms = 0.0;       ///< sRGB -> Lab
+  double init_ms = 0.0;          ///< seeding and buffer setup
+  double assign_ms = 0.0;        ///< distance + min, all iterations
+  double update_ms = 0.0;        ///< accumulation + center update
+  double connectivity_ms = 0.0;  ///< connectivity enforcement
+
   // Segment-stage detail:
   std::uint32_t iterations = 0;
-  const char* isa = "";         ///< SIMD backend name (static storage)
+  const char* isa = "";         ///< SIMD backend that ran (static storage)
   bool fused = false;
   bool warm = false;            ///< warm-started from the previous frame
   std::uint32_t batch_frames = 0;  ///< frames dispatched in the same batch
@@ -60,16 +70,14 @@ struct WideFrameEvent {
 };
 
 /// Appends `event` to the wide-event ring and folds it into the per-stream
-/// aggregation. Thread-safe; steady state performs no operator-new
-/// allocation (first call sizes the ring via malloc).
+/// aggregation. Thread-safe; allocates nothing.
 void record_frame_event(const WideFrameEvent& event);
 
 /// Total wide events ever recorded (ring overwrites still count).
 std::uint64_t frame_events_recorded();
 
-/// Ring capacity in events (`SSLIC_FRAMEZ_EVENTS` environment override,
-/// default 256, clamped to [16, 1Mi]).
-std::size_t framez_capacity();
+/// Wide events the ring retains.
+inline constexpr std::size_t kFramezCapacity = 256;
 
 /// Serializes `event` as one JSON object (no trailing newline) — the record
 /// shape shared by /framez, the soak monitor, and tests.
@@ -80,11 +88,11 @@ void append_frame_event_json(std::string& out, const WideFrameEvent& event);
 /// oldest to newest.
 std::string framez_json();
 
-/// Copies the retained events, oldest to newest (at most framez_capacity()).
+/// Copies the retained events, oldest to newest (at most kFramezCapacity).
 /// Allocates; meant for tests and exit summaries, not the frame hot path.
 std::vector<WideFrameEvent> recent_frame_events();
 
-/// Test helper: drops retained events and aggregates (capacity unchanged).
+/// Test helper: drops retained events and aggregates.
 void framez_reset();
 
 }  // namespace sslic::ops

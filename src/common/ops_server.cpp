@@ -66,7 +66,7 @@ std::string statusz_json() {
   body += compiled() ? "true" : "false";
   body += ",\n  \"simd\": {\"detected\": \"";
   body += json_escape(simd::isa_name(simd::detect_cpu_isa()));
-  body += "\", \"dispatched\": \"";
+  body += "\", \"preferred\": \"";
   body += json_escape(simd::isa_name(simd::preferred_isa()));
   body += "\"},\n  \"flight\": {\"enabled\": ";
   body += flight_enabled() ? "true" : "false";

@@ -12,12 +12,13 @@
 //             503 when a configured watchdog deadline is exceeded.
 //   /varz     The full registry as JSON (every counter/gauge/histogram).
 //   /statusz  Build + configuration: version, compiled options, detected
-//             and dispatched ISA, flight recorder and crash handler state,
+//             and preferred ISA (before the kernel table's clamp to the
+//             compiled backends), flight recorder and crash handler state,
 //             plus pluggable sections registered by other layers
 //             (register_statusz_section) without src/common depending on
-//             them: src/slic's "slic" (fusion, kernel ISA, pool threads)
-//             and src/engine's "engine" (per-engine stream, queue, batch,
-//             frame, shed and drop counts and limits).
+//             them: src/slic's "slic" (fusion, the kernel ISA that runs,
+//             pool threads) and src/engine's "engine" (per-engine stream,
+//             queue, batch, frame, shed and drop counts and limits).
 //   /tracez   The flight recorder's retained spans as Chrome trace-event
 //             JSON (open in Perfetto to see the last seconds of work).
 //

@@ -13,45 +13,4 @@ double Stopwatch::elapsed_ms() const {
 
 double Stopwatch::elapsed_s() const { return elapsed_ms() / 1000.0; }
 
-void PhaseTimer::add(const std::string& name, double ms) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  ms_[name] += ms;
-}
-
-double PhaseTimer::total_ms() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  double total = 0.0;
-  for (const auto& [name, ms] : ms_) total += ms;
-  return total;
-}
-
-double PhaseTimer::phase_ms(const std::string& name) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = ms_.find(name);
-  return it == ms_.end() ? 0.0 : it->second;
-}
-
-double PhaseTimer::phase_fraction(const std::string& name) const {
-  const double total = total_ms();
-  return total <= 0.0 ? 0.0 : phase_ms(name) / total;
-}
-
-std::map<std::string, double> PhaseTimer::phases() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return ms_;
-}
-
-void PhaseTimer::clear() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  ms_.clear();
-}
-
-void PhaseTimer::merge(const PhaseTimer& other) {
-  // Snapshot the source outside our own lock: self-merge aside, taking the
-  // two locks in sequence (never nested) cannot deadlock.
-  const std::map<std::string, double> theirs = other.phases();
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [name, ms] : theirs) ms_[name] += ms;
-}
-
 }  // namespace sslic

@@ -1,11 +1,8 @@
-// Wall-clock timing utilities used by the CPU-side experiments
-// (Fig. 2 quality-vs-time curves, Table 1 phase breakdown).
+// Wall-clock stopwatch used by the benches, the examples and the engine's
+// frame clock. Segmenter stages are timed by trace::Interval instead.
 #pragma once
 
 #include <chrono>
-#include <map>
-#include <mutex>
-#include <string>
 
 namespace sslic {
 
@@ -25,57 +22,6 @@ class Stopwatch {
 
  private:
   std::chrono::steady_clock::time_point start_;
-};
-
-/// Accumulates wall-clock time per named phase. Used by the instrumented
-/// SLIC implementations to reproduce Table 1's per-phase breakdown.
-///
-/// Thread-safe: `add` may be called concurrently (e.g. from pool workers
-/// inside a parallel_for body); accumulation is guarded by an internal
-/// mutex, which is uncontended in the phase-granular use the segmenters
-/// make of it. Readers see a consistent snapshot; `phases()` returns a
-/// copy for the same reason.
-class PhaseTimer {
- public:
-  /// Adds `ms` milliseconds to phase `name`.
-  void add(const std::string& name, double ms);
-
-  /// Total across all phases, in milliseconds.
-  [[nodiscard]] double total_ms() const;
-
-  /// Accumulated milliseconds for `name` (0 if never recorded).
-  [[nodiscard]] double phase_ms(const std::string& name) const;
-
-  /// Fraction of the total spent in `name` (0 if total is 0).
-  [[nodiscard]] double phase_fraction(const std::string& name) const;
-
-  /// Snapshot of every phase's accumulated milliseconds.
-  [[nodiscard]] std::map<std::string, double> phases() const;
-
-  void clear();
-
-  /// Merges another timer's accumulations into this one.
-  void merge(const PhaseTimer& other);
-
- private:
-  mutable std::mutex mutex_;
-  std::map<std::string, double> ms_;  // guarded by mutex_
-};
-
-/// RAII helper: adds the scope's duration to `timer[name]` on destruction.
-class ScopedPhase {
- public:
-  ScopedPhase(PhaseTimer& timer, std::string name)
-      : timer_(timer), name_(std::move(name)) {}
-  ~ScopedPhase() { timer_.add(name_, watch_.elapsed_ms()); }
-
-  ScopedPhase(const ScopedPhase&) = delete;
-  ScopedPhase& operator=(const ScopedPhase&) = delete;
-
- private:
-  PhaseTimer& timer_;
-  std::string name_;
-  Stopwatch watch_;
 };
 
 }  // namespace sslic

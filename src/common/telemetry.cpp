@@ -8,7 +8,6 @@
 #include "common/alloc_counter.h"
 #include "common/check.h"
 #include "common/logging.h"
-#include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
 
@@ -419,14 +418,6 @@ void MetricsRegistry::clear() {
 MetricsRegistry& MetricsRegistry::global() {
   static MetricsRegistry registry;
   return registry;
-}
-
-void export_phase_timer(const PhaseTimer& timer, const std::string& unit,
-                        MetricsRegistry& registry) {
-  const std::string prefix = "sslic." + unit;
-  for (const auto& [phase, ms] : timer.phases())
-    registry.gauge(prefix + ".phase_ms." + phase).set(ms);
-  registry.gauge(prefix + ".total_ms").set(timer.total_ms());
 }
 
 void export_thread_pool(const ThreadPool& pool, MetricsRegistry& registry) {

@@ -3,7 +3,7 @@
 // TelemetrySink interface.
 //
 // Naming convention (DESIGN.md §4d): `sslic.<unit>.<metric>`, e.g.
-// `sslic.cpa.ops.distance_evals`, `sslic.pool.worker.3.busy_ms`,
+// `sslic.engine.0.frames`, `sslic.pool.worker.3.busy_ms`,
 // `sslic.video.frame_ms`. Units are the pipeline stages of the paper's
 // Table 1 plus the runtime itself (pool, video, trace).
 //
@@ -24,7 +24,6 @@
 
 namespace sslic {
 
-class PhaseTimer;
 class ThreadPool;
 
 namespace telemetry {
@@ -249,11 +248,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
-
-/// Publishes a PhaseTimer as gauges `sslic.<unit>.phase_ms.<phase>` plus
-/// `sslic.<unit>.total_ms`.
-void export_phase_timer(const PhaseTimer& timer, const std::string& unit,
-                        MetricsRegistry& registry = MetricsRegistry::global());
 
 /// Publishes pool execution stats: `sslic.pool.jobs`, `sslic.pool.threads`,
 /// and per worker `sslic.pool.worker.<i>.{chunks,jobs,busy_ms}` (slot 0 is

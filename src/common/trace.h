@@ -23,8 +23,8 @@
 // armed trace stays cheap and small.
 //
 // Stage clock: trace::Interval always reads the clock and returns what it
-// measured, so a segmenter stage feeds its span and its PhaseTimer phase
-// from the same two clock reads.
+// measured, so a segmenter stage records its span and adds its
+// Instrumentation stage time from the same two clock reads.
 //
 // Compile-out: building with -DSSLIC_TRACING=OFF defines
 // SSLIC_TRACING_ENABLED=0; the macros expand to nothing, Span and
@@ -224,8 +224,8 @@ class DetailSpan {
 /// complete()), records it as a span when recording is on, returns its
 /// length in milliseconds, and starts the next region at the same instant.
 /// It reads the clock whether or not it records, also in
-/// -DSSLIC_TRACING=OFF builds, so callers can feed the result to a
-/// PhaseTimer.
+/// -DSSLIC_TRACING=OFF builds, so callers can add the result to a stage
+/// time (Instrumentation::assign_ms and the like).
 class Interval {
  public:
   Interval() : begin_(now_ns()) {}

@@ -12,6 +12,8 @@
 #include "common/simd.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
+#include "slic/assign_kernels.h"
+#include "slic/distance.h"
 
 namespace sslic::engine {
 
@@ -139,7 +141,7 @@ StreamId StreamEngine::open_stream(StreamOptions options) {
   if (stream->opts.algorithm == StreamAlgorithm::kCpa) {
     stream->cpa.emplace(stream->opts.params);
   } else {
-    stream->temporal.emplace(stream->opts.params, stream->opts.data_width,
+    stream->temporal.emplace(stream->opts.params, DataWidth::float64(),
                              stream->opts.warm_iterations);
   }
 
@@ -384,9 +386,9 @@ void StreamEngine::scheduler_loop() {
     if (stop_) break;
     if (!work_ready()) continue;
 
-    // Form a cross-stream batch: at most one frame (the queue head) per
-    // stream, round-robin from the fairness cursor so a capped batch
-    // doesn't starve high-index streams.
+    // Form a cross-stream batch: the queue head of every ready stream, at
+    // most one frame per stream, taken round-robin from the fairness cursor
+    // so no stream's frame always runs and calls back first.
     batch_.clear();
     // Queue-delay / batch-formation stage boundary for every frame of this
     // batch (one clock read — the stages must tile the timeline exactly).
@@ -400,9 +402,6 @@ void StreamEngine::scheduler_loop() {
     drafts_.reserve(num_streams);
     callbacks_.reserve(num_streams);
     for (std::size_t step = 0; step < num_streams; ++step) {
-      if (options_.max_batch_frames != 0 &&
-          batch_.size() >= options_.max_batch_frames)
-        break;
       Stream& stream = *streams_[(round_robin_cursor_ + step) % num_streams];
       if (stream.in_flight || stream.fifo_count == 0) continue;
       Slot& slot =
@@ -448,7 +447,7 @@ void StreamEngine::scheduler_loop() {
     drafts_.clear();
     // Batch-wide segment-stage facts, resolved once: the wide event stores
     // static name strings so common/frame_log never depends on slic headers.
-    const char* const isa = simd::isa_name(simd::preferred_isa());
+    const char* const isa = simd::isa_name(kernels::active_isa());
     const auto batch_frames = static_cast<std::uint32_t>(batch_.size());
     for (BatchEntry& entry : batch_) {
       Stream& stream = *entry.stream;
@@ -471,6 +470,11 @@ void StreamEngine::scheduler_loop() {
       draft.event.queue_ms = entry.form_ms - slot.submit_ms;
       draft.event.batch_form_ms = entry.seg_begin_ms - entry.form_ms;
       draft.event.segment_ms = entry.seg_end_ms - entry.seg_begin_ms;
+      draft.event.convert_ms = stream.instr.convert_ms;
+      draft.event.init_ms = stream.instr.init_ms;
+      draft.event.assign_ms = stream.instr.assign_ms;
+      draft.event.update_ms = stream.instr.update_ms;
+      draft.event.connectivity_ms = stream.instr.connectivity_ms;
       draft.event.iterations =
           static_cast<std::uint32_t>(stream.instr.iterations);
       draft.event.isa = isa;
@@ -565,9 +569,11 @@ void StreamEngine::process_frame(BatchEntry& entry) {
       entry.segmentation = &stream.temporal->next_frame(slot.frame,
                                                         &stream.instr);
     } else {
-      srgb_to_lab(slot.frame, stream.lab);
+      const double convert_ms = srgb_to_lab(slot.frame, stream.lab);
       stream.cpa->segment_lab_into(stream.lab, stream.result, stream.scratch,
-                                   {}, &stream.instr, nullptr);
+                                   {}, &stream.instr);
+      // After the run: segment_lab_into resets the record.
+      stream.instr.convert_ms = convert_ms;
       entry.segmentation = &stream.result;
     }
   }
@@ -720,8 +726,6 @@ std::string engine_statusz_json() {
     body += ", \"dropped\": " + std::to_string(stats.dropped);
     body += ", \"global_queue_limit\": " +
             std::to_string(engine->options().global_queue_limit);
-    body += ", \"max_batch_frames\": " +
-            std::to_string(engine->options().max_batch_frames);
     body += "}";
   }
   body += "]}";

@@ -61,7 +61,6 @@
 #include "common/slo.h"
 #include "common/stopwatch.h"
 #include "common/telemetry.h"
-#include "slic/distance.h"
 #include "slic/instrumentation.h"
 #include "slic/iteration_scratch.h"
 #include "slic/slic_baseline.h"
@@ -154,7 +153,6 @@ enum class StreamAlgorithm {
 
 struct StreamOptions {
   SlicParams params;
-  DataWidth data_width = DataWidth::float64();
   StreamAlgorithm algorithm = StreamAlgorithm::kPpa;
   /// Warm-start each frame from the previous frame's centers (PPA only —
   /// the TemporalSlic contract). Frame 1, a geometry change, or
@@ -182,9 +180,6 @@ struct StreamOptions {
 struct EngineOptions {
   /// Cap on frames queued across all streams; 0 = only per-stream bounds.
   std::size_t global_queue_limit = 0;
-  /// Cap on frames per cross-stream batch; 0 = one frame from every ready
-  /// stream (the widest batch the admission state allows).
-  std::size_t max_batch_frames = 0;
   /// Tick ops::heartbeat() every scheduler cycle (~1 Hz when idle) so
   /// /healthz covers the engine. Disable when another component owns the
   /// process heartbeat (e.g. video_pipeline beats per frame).

@@ -1,4 +1,5 @@
-// Operation and DRAM-traffic accounting (paper Table 2).
+// Operation and DRAM-traffic accounting (paper Table 2), per-run quality
+// signals and per-stage wall times (paper Table 1).
 //
 // Accounting conventions, chosen to match the paper's published figures and
 // used consistently by every instrumented implementation:
@@ -129,6 +130,24 @@ struct Instrumentation {
   /// pixels_moved).
   std::uint64_t final_label_count = 0;
   std::uint64_t pixels_relabelled = 0;
+
+  /// Wall time per stage in milliseconds, in paper Table 1's taxonomy:
+  /// sRGB->Lab conversion, seeding and buffer setup, assignment (distance +
+  /// min), sigma accumulation and center update (the fused CPA loop's
+  /// accumulation lands in update), and connectivity. Each is the sum of
+  /// the trace::Interval::complete() values that ended the stage, so a
+  /// stage's spans sum to its field. Lab entry points leave convert_ms 0;
+  /// the RGB entry points write it after the run resets the record.
+  double convert_ms = 0.0;
+  double init_ms = 0.0;
+  double assign_ms = 0.0;
+  double update_ms = 0.0;
+  double connectivity_ms = 0.0;
+
+  /// Sum of the five stage times.
+  [[nodiscard]] double stages_ms() const {
+    return convert_ms + init_ms + assign_ms + update_ms + connectivity_ms;
+  }
 
   /// Per-iteration averages (0 when no iteration ran).
   [[nodiscard]] double distance_ops_per_iteration() const {

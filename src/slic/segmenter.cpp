@@ -26,19 +26,18 @@ std::string algorithm_name(Algorithm algorithm, double subsample_ratio) {
 Segmentation run_segmenter(Algorithm algorithm, const SlicParams& params,
                            const RgbImage& image, DataWidth data_width,
                            const IterationCallback& callback,
-                           Instrumentation* instrumentation,
-                           PhaseTimer* phases) {
+                           Instrumentation* instrumentation) {
   switch (algorithm) {
     case Algorithm::kSlic: {
       SlicParams p = params;
       p.subsample_ratio = 1.0;
-      return CpaSlic(p).segment(image, callback, instrumentation, phases);
+      return CpaSlic(p).segment(image, callback, instrumentation);
     }
     case Algorithm::kSslicPpa:
       return PpaSlic(params, data_width)
-          .segment(image, callback, instrumentation, phases);
+          .segment(image, callback, instrumentation);
     case Algorithm::kSslicCpa:
-      return CpaSlic(params).segment(image, callback, instrumentation, phases);
+      return CpaSlic(params).segment(image, callback, instrumentation);
   }
   SSLIC_CHECK_MSG(false, "unknown algorithm");
 }
@@ -46,19 +45,18 @@ Segmentation run_segmenter(Algorithm algorithm, const SlicParams& params,
 Segmentation run_segmenter_lab(Algorithm algorithm, const SlicParams& params,
                                const LabImage& lab, DataWidth data_width,
                                const IterationCallback& callback,
-                               Instrumentation* instrumentation,
-                               PhaseTimer* phases) {
+                               Instrumentation* instrumentation) {
   switch (algorithm) {
     case Algorithm::kSlic: {
       SlicParams p = params;
       p.subsample_ratio = 1.0;
-      return CpaSlic(p).segment_lab(lab, callback, instrumentation, phases);
+      return CpaSlic(p).segment_lab(lab, callback, instrumentation);
     }
     case Algorithm::kSslicPpa:
       return PpaSlic(params, data_width)
-          .segment_lab(lab, callback, instrumentation, phases);
+          .segment_lab(lab, callback, instrumentation);
     case Algorithm::kSslicCpa:
-      return CpaSlic(params).segment_lab(lab, callback, instrumentation, phases);
+      return CpaSlic(params).segment_lab(lab, callback, instrumentation);
   }
   SSLIC_CHECK_MSG(false, "unknown algorithm");
 }

@@ -4,7 +4,6 @@
 
 #include <string>
 
-#include "common/stopwatch.h"
 #include "slic/distance.h"
 #include "slic/instrumentation.h"
 #include "slic/types.h"
@@ -28,15 +27,13 @@ Segmentation run_segmenter(Algorithm algorithm, const SlicParams& params,
                            const RgbImage& image,
                            DataWidth data_width = DataWidth::float64(),
                            const IterationCallback& callback = {},
-                           Instrumentation* instrumentation = nullptr,
-                           PhaseTimer* phases = nullptr);
+                           Instrumentation* instrumentation = nullptr);
 
 /// Same, starting from a pre-converted Lab image.
 Segmentation run_segmenter_lab(Algorithm algorithm, const SlicParams& params,
                                const LabImage& lab,
                                DataWidth data_width = DataWidth::float64(),
                                const IterationCallback& callback = {},
-                               Instrumentation* instrumentation = nullptr,
-                               PhaseTimer* phases = nullptr);
+                               Instrumentation* instrumentation = nullptr);
 
 }  // namespace sslic

@@ -26,29 +26,28 @@ CpaSlic::CpaSlic(SlicParams params) : params_(params) {
 
 Segmentation CpaSlic::segment(const RgbImage& image,
                               const IterationCallback& callback,
-                              Instrumentation* instrumentation,
-                              PhaseTimer* phases) const {
+                              Instrumentation* instrumentation) const {
   LabImage lab;
   const double convert_ms = srgb_to_lab(image, lab);
-  if (phases != nullptr) phases->add(kPhaseColorConversion, convert_ms);
-  return segment_lab(lab, callback, instrumentation, phases);
+  Segmentation result = segment_lab(lab, callback, instrumentation);
+  // After the run: segment_lab_into resets the record.
+  if (instrumentation != nullptr) instrumentation->convert_ms = convert_ms;
+  return result;
 }
 
 Segmentation CpaSlic::segment_lab(const LabImage& lab,
                                   const IterationCallback& callback,
-                                  Instrumentation* instrumentation,
-                                  PhaseTimer* phases) const {
+                                  Instrumentation* instrumentation) const {
   Segmentation result;
   IterationScratch scratch;
-  segment_lab_into(lab, result, scratch, callback, instrumentation, phases);
+  segment_lab_into(lab, result, scratch, callback, instrumentation);
   return result;
 }
 
 void CpaSlic::segment_lab_into(const LabImage& lab, Segmentation& result,
                                IterationScratch& scratch,
                                const IterationCallback& callback,
-                               Instrumentation* instrumentation,
-                               PhaseTimer* phases) const {
+                               Instrumentation* instrumentation) const {
   SSLIC_CHECK(!lab.empty());
   SSLIC_TRACE_SCOPE("cpa.segment");
   const int w = lab.width();
@@ -61,8 +60,8 @@ void CpaSlic::segment_lab_into(const LabImage& lab, Segmentation& result,
   const bool fused = fusion_enabled();
   instr.fused = fused;
 
-  // One clock per stage: each Interval::complete() below ends a stage and
-  // feeds the same measurement to its span and to its PhaseTimer phase.
+  // One clock per stage: each Interval::complete() below ends a stage,
+  // records its span and adds the same measurement to the stage's field.
   trace::Interval init_stage;
   const CenterGrid grid(w, h, params_.num_superpixels);
   const double spacing = grid.spacing();
@@ -125,15 +124,13 @@ void CpaSlic::segment_lab_into(const LabImage& lab, Segmentation& result,
   // the pixel loops.
   const kernels::KernelTable& kt = kernels::active();
   const double spatial_weight = dist.spatial_weight();
-  const double init_ms = init_stage.complete("cpa.init");
-  if (phases != nullptr) phases->add(kPhaseOther, init_ms);
+  instr.init_ms += init_stage.complete("cpa.init");
 
   // 2S x 2S search rectangle centred on each SP (paper Section 2): +/- S.
   const int window = std::max(1, static_cast<int>(std::lround(spacing)));
 
   for (int iter = 0; iter < params_.max_iterations; ++iter) {
     SSLIC_TRACE_SCOPE("cpa.iter", iter);
-    Stopwatch iter_watch;
     IterationStats stats;
     stats.iteration = iter;
 
@@ -287,7 +284,7 @@ void CpaSlic::segment_lab_into(const LabImage& lab, Segmentation& result,
       }
     }
     const double assign_ms = iter_stages.complete("cpa.assign", iter);
-    if (phases != nullptr) phases->add(kPhaseDistanceMin, assign_ms);
+    instr.assign_ms += assign_ms;
 
     // --- Center update: merge sigma partials, then divide. ---
     // Either path merges per-band partials in ascending band order with
@@ -339,11 +336,11 @@ void CpaSlic::segment_lab_into(const LabImage& lab, Segmentation& result,
         static_cast<std::uint64_t>(num_centers) * MemTraffic::kCenterBytes;
     const double update_ms = iter_stages.complete(
         fused ? "cpa.fused_accumulate" : "cpa.update", iter);
-    if (phases != nullptr) phases->add(kPhaseCenterUpdate, update_ms);
+    instr.update_ms += update_ms;
 
     instr.iterations += 1;
     result.iterations_run = iter + 1;
-    stats.elapsed_ms = iter_watch.elapsed_ms();
+    stats.elapsed_ms = assign_ms + update_ms;
     result.trace.push_back(stats);
 
     if (callback) callback(stats, result.labels, result.centers);
@@ -361,9 +358,7 @@ void CpaSlic::segment_lab_into(const LabImage& lab, Segmentation& result,
     instr.final_label_count =
         static_cast<std::uint64_t>(connectivity.final_label_count);
     instr.pixels_relabelled = connectivity.pixels_moved;
-    const double connectivity_ms =
-        connectivity_stage.complete("cpa.connectivity");
-    if (phases != nullptr) phases->add(kPhaseConnectivity, connectivity_ms);
+    instr.connectivity_ms += connectivity_stage.complete("cpa.connectivity");
   }
 }
 

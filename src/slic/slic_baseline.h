@@ -14,7 +14,6 @@
 #pragma once
 
 #include "color/color_convert.h"
-#include "common/stopwatch.h"
 #include "slic/instrumentation.h"
 #include "slic/iteration_scratch.h"
 #include "slic/types.h"
@@ -26,17 +25,16 @@ class CpaSlic {
  public:
   explicit CpaSlic(SlicParams params);
 
-  /// Segments an RGB image (color conversion timed as its own phase).
-  [[nodiscard]] Segmentation segment(const RgbImage& image,
-                                     const IterationCallback& callback = {},
-                                     Instrumentation* instrumentation = nullptr,
-                                     PhaseTimer* phases = nullptr) const;
+  /// Segments an RGB image (color conversion timed as its own stage,
+  /// `Instrumentation::convert_ms`).
+  [[nodiscard]] Segmentation segment(
+      const RgbImage& image, const IterationCallback& callback = {},
+      Instrumentation* instrumentation = nullptr) const;
 
   /// Segments an already-converted Lab image.
-  [[nodiscard]] Segmentation segment_lab(const LabImage& lab,
-                                         const IterationCallback& callback = {},
-                                         Instrumentation* instrumentation = nullptr,
-                                         PhaseTimer* phases = nullptr) const;
+  [[nodiscard]] Segmentation segment_lab(
+      const LabImage& lab, const IterationCallback& callback = {},
+      Instrumentation* instrumentation = nullptr) const;
 
   /// Buffer-reusing variant: writes into `result` and draws every working
   /// buffer from `scratch`. Repeated calls at an unchanged geometry reuse
@@ -45,18 +43,9 @@ class CpaSlic {
   void segment_lab_into(const LabImage& lab, Segmentation& result,
                         IterationScratch& scratch,
                         const IterationCallback& callback = {},
-                        Instrumentation* instrumentation = nullptr,
-                        PhaseTimer* phases = nullptr) const;
+                        Instrumentation* instrumentation = nullptr) const;
 
   [[nodiscard]] const SlicParams& params() const { return params_; }
-
-  /// Phase names used with PhaseTimer. Table 1's "Other" row is
-  /// initialization (kPhaseOther) plus connectivity enforcement.
-  static constexpr const char* kPhaseColorConversion = "color_conversion";
-  static constexpr const char* kPhaseDistanceMin = "distance_min";
-  static constexpr const char* kPhaseCenterUpdate = "center_update";
-  static constexpr const char* kPhaseConnectivity = "connectivity";
-  static constexpr const char* kPhaseOther = "other";
 
  private:
   SlicParams params_;

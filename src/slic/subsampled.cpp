@@ -13,7 +13,6 @@
 #include "slic/center_update.h"
 #include "slic/connectivity.h"
 #include "slic/grid.h"
-#include "slic/slic_baseline.h"
 #include "slic/subset_schedule.h"
 
 namespace sslic {
@@ -27,51 +26,48 @@ PpaSlic::PpaSlic(SlicParams params, DataWidth data_width)
 
 Segmentation PpaSlic::segment(const RgbImage& image,
                               const IterationCallback& callback,
-                              Instrumentation* instrumentation,
-                              PhaseTimer* phases) const {
+                              Instrumentation* instrumentation) const {
   LabImage lab;
   const double convert_ms = srgb_to_lab(image, lab);
-  if (phases != nullptr) phases->add(CpaSlic::kPhaseColorConversion, convert_ms);
-  return segment_lab(lab, callback, instrumentation, phases);
+  Segmentation result = segment_lab(lab, callback, instrumentation);
+  // After the run: segment_impl resets the record.
+  if (instrumentation != nullptr) instrumentation->convert_ms = convert_ms;
+  return result;
 }
 
 Segmentation PpaSlic::segment_lab(const LabImage& lab,
                                   const IterationCallback& callback,
-                                  Instrumentation* instrumentation,
-                                  PhaseTimer* phases) const {
+                                  Instrumentation* instrumentation) const {
   Segmentation result;
   IterationScratch scratch;
-  segment_impl(lab, nullptr, result, scratch, callback, instrumentation, phases);
+  segment_impl(lab, nullptr, result, scratch, callback, instrumentation);
   return result;
 }
 
 Segmentation PpaSlic::segment_lab_warm(
     const LabImage& lab, const std::vector<ClusterCenter>& initial_centers,
-    const IterationCallback& callback, Instrumentation* instrumentation,
-    PhaseTimer* phases) const {
+    const IterationCallback& callback, Instrumentation* instrumentation) const {
   Segmentation result;
   IterationScratch scratch;
   segment_impl(lab, &initial_centers, result, scratch, callback,
-               instrumentation, phases);
+               instrumentation);
   return result;
 }
 
 void PpaSlic::segment_lab_into(const LabImage& lab, Segmentation& result,
                                IterationScratch& scratch,
                                const IterationCallback& callback,
-                               Instrumentation* instrumentation,
-                               PhaseTimer* phases) const {
-  segment_impl(lab, nullptr, result, scratch, callback, instrumentation,
-               phases);
+                               Instrumentation* instrumentation) const {
+  segment_impl(lab, nullptr, result, scratch, callback, instrumentation);
 }
 
 void PpaSlic::segment_lab_warm_into(
     const LabImage& lab, const std::vector<ClusterCenter>& initial_centers,
     Segmentation& result, IterationScratch& scratch,
-    const IterationCallback& callback, Instrumentation* instrumentation,
-    PhaseTimer* phases) const {
+    const IterationCallback& callback,
+    Instrumentation* instrumentation) const {
   segment_impl(lab, &initial_centers, result, scratch, callback,
-               instrumentation, phases);
+               instrumentation);
 }
 
 double update_ppa_centers(const std::vector<Sigma>& sigmas,
@@ -115,8 +111,7 @@ void PpaSlic::segment_impl(const LabImage& lab,
                            const std::vector<ClusterCenter>* warm_centers,
                            Segmentation& result, IterationScratch& scratch,
                            const IterationCallback& callback,
-                           Instrumentation* instrumentation,
-                           PhaseTimer* phases) const {
+                           Instrumentation* instrumentation) const {
   SSLIC_CHECK(!lab.empty());
   SSLIC_TRACE_SCOPE("ppa.segment");
   const int w = lab.width();
@@ -128,8 +123,8 @@ void PpaSlic::segment_impl(const LabImage& lab,
   instr = Instrumentation{};
   instr.warm = warm_centers != nullptr;
 
-  // One clock per stage: each Interval::complete() below ends a stage and
-  // feeds the same measurement to its span and to its PhaseTimer phase.
+  // One clock per stage: each Interval::complete() below ends a stage,
+  // records its span and adds the same measurement to the stage's field.
   trace::Interval init_stage;
   const CenterGrid grid(w, h, params_.num_superpixels);
   const DistanceCalculator dist(params_.compactness, grid.spacing(), data_width_);
@@ -223,8 +218,7 @@ void PpaSlic::segment_impl(const LabImage& lab,
   calm_streak.assign(num_centers_z, 0);
   std::vector<std::uint8_t>& tile_skipped = scratch.tile_skipped;
   tile_skipped.assign(num_centers_z, 0);
-  const double init_ms = init_stage.complete("ppa.init");
-  if (phases != nullptr) phases->add(CpaSlic::kPhaseOther, init_ms);
+  instr.init_ms += init_stage.complete("ppa.init");
 
   std::int32_t* const labels = result.labels.pixels().data();
   const bool all_active = schedule.count() == 1;
@@ -232,7 +226,6 @@ void PpaSlic::segment_impl(const LabImage& lab,
 
   for (int iter = 0; iter < params_.max_iterations; ++iter) {
     SSLIC_TRACE_SCOPE("ppa.iter", iter);
-    Stopwatch iter_watch;
     IterationStats stats;
     stats.iteration = iter;
 
@@ -338,7 +331,7 @@ void PpaSlic::segment_impl(const LabImage& lab,
     instr.traffic.distance_write +=
         stats.pixels_visited * MemTraffic::kDistanceBytes;
     const double assign_ms = iter_stages.complete("ppa.assign", iter);
-    if (phases != nullptr) phases->add(CpaSlic::kPhaseDistanceMin, assign_ms);
+    instr.assign_ms += assign_ms;
 
     // --- Phase B: sigma accumulation, then the center update. ---
     // Band b owns center rows [r0, r1) and adds, in row-major order, only
@@ -425,11 +418,11 @@ void PpaSlic::segment_impl(const LabImage& lab,
     stats.center_movement = update_ppa_centers(
         sigmas, dist, params_, result.centers, calm_streak, frozen, instr);
     const double update_ms = iter_stages.complete("ppa.update", iter);
-    if (phases != nullptr) phases->add(CpaSlic::kPhaseCenterUpdate, update_ms);
+    instr.update_ms += update_ms;
 
     instr.iterations += 1;
     result.iterations_run = iter + 1;
-    stats.elapsed_ms = iter_watch.elapsed_ms();
+    stats.elapsed_ms = assign_ms + update_ms;
     result.trace.push_back(stats);
 
     if (callback) callback(stats, result.labels, result.centers);
@@ -448,10 +441,7 @@ void PpaSlic::segment_impl(const LabImage& lab,
     instr.final_label_count =
         static_cast<std::uint64_t>(connectivity.final_label_count);
     instr.pixels_relabelled = connectivity.pixels_moved;
-    const double connectivity_ms =
-        connectivity_stage.complete("ppa.connectivity");
-    if (phases != nullptr)
-      phases->add(CpaSlic::kPhaseConnectivity, connectivity_ms);
+    instr.connectivity_ms += connectivity_stage.complete("ppa.connectivity");
   }
 }
 

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "color/color_convert.h"
-#include "common/stopwatch.h"
 #include "slic/center_update.h"
 #include "slic/distance.h"
 #include "slic/instrumentation.h"
@@ -54,15 +53,13 @@ class PpaSlic {
  public:
   explicit PpaSlic(SlicParams params, DataWidth data_width = DataWidth::float64());
 
-  [[nodiscard]] Segmentation segment(const RgbImage& image,
-                                     const IterationCallback& callback = {},
-                                     Instrumentation* instrumentation = nullptr,
-                                     PhaseTimer* phases = nullptr) const;
+  [[nodiscard]] Segmentation segment(
+      const RgbImage& image, const IterationCallback& callback = {},
+      Instrumentation* instrumentation = nullptr) const;
 
-  [[nodiscard]] Segmentation segment_lab(const LabImage& lab,
-                                         const IterationCallback& callback = {},
-                                         Instrumentation* instrumentation = nullptr,
-                                         PhaseTimer* phases = nullptr) const;
+  [[nodiscard]] Segmentation segment_lab(
+      const LabImage& lab, const IterationCallback& callback = {},
+      Instrumentation* instrumentation = nullptr) const;
 
   /// Temporal warm start: like segment_lab, but cluster centers start from
   /// `initial_centers` (e.g. the previous video frame's result) instead of
@@ -71,8 +68,7 @@ class PpaSlic {
   [[nodiscard]] Segmentation segment_lab_warm(
       const LabImage& lab, const std::vector<ClusterCenter>& initial_centers,
       const IterationCallback& callback = {},
-      Instrumentation* instrumentation = nullptr,
-      PhaseTimer* phases = nullptr) const;
+      Instrumentation* instrumentation = nullptr) const;
 
   /// Buffer-reusing variants: write into `result` and draw every working
   /// buffer from `scratch`. Repeated calls at an unchanged geometry make
@@ -82,14 +78,12 @@ class PpaSlic {
   void segment_lab_into(const LabImage& lab, Segmentation& result,
                         IterationScratch& scratch,
                         const IterationCallback& callback = {},
-                        Instrumentation* instrumentation = nullptr,
-                        PhaseTimer* phases = nullptr) const;
+                        Instrumentation* instrumentation = nullptr) const;
   void segment_lab_warm_into(const LabImage& lab,
                              const std::vector<ClusterCenter>& initial_centers,
                              Segmentation& result, IterationScratch& scratch,
                              const IterationCallback& callback = {},
-                             Instrumentation* instrumentation = nullptr,
-                             PhaseTimer* phases = nullptr) const;
+                             Instrumentation* instrumentation = nullptr) const;
 
   [[nodiscard]] const SlicParams& params() const { return params_; }
   [[nodiscard]] const DataWidth& data_width() const { return data_width_; }
@@ -99,8 +93,7 @@ class PpaSlic {
                     const std::vector<ClusterCenter>* warm_centers,
                     Segmentation& result, IterationScratch& scratch,
                     const IterationCallback& callback,
-                    Instrumentation* instrumentation,
-                    PhaseTimer* phases) const;
+                    Instrumentation* instrumentation) const;
 
   SlicParams params_;
   DataWidth data_width_;

@@ -4,9 +4,7 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "common/stopwatch.h"
 #include "common/trace.h"
-#include "slic/slic_baseline.h"
 #include "slic/subset_schedule.h"
 
 namespace sslic {
@@ -35,8 +33,7 @@ int TemporalSlic::default_warm_iterations(const SlicParams& params) {
 }
 
 const Segmentation& TemporalSlic::next_frame(const RgbImage& frame,
-                                             Instrumentation* instrumentation,
-                                             PhaseTimer* phases) {
+                                             Instrumentation* instrumentation) {
   // Every frame gets a frame context: keep the caller's ambient id if one
   // is installed (e.g. a pipeline that minted per-frame ids itself), mint a
   // fresh one otherwise so standalone sequential runs still produce
@@ -50,15 +47,14 @@ const Segmentation& TemporalSlic::next_frame(const RgbImage& frame,
                         frame.height() == state_height_;
 
   const double convert_ms = srgb_to_lab(frame, lab_);
-  if (phases != nullptr) phases->add(CpaSlic::kPhaseColorConversion, convert_ms);
-
   if (can_warm) {
     warm_.segment_lab_warm_into(lab_, previous_centers_, result_, scratch_, {},
-                                instrumentation, phases);
+                                instrumentation);
   } else {
-    cold_.segment_lab_into(lab_, result_, scratch_, {}, instrumentation,
-                           phases);
+    cold_.segment_lab_into(lab_, result_, scratch_, {}, instrumentation);
   }
+  // After the run: the _into call resets the record.
+  if (instrumentation != nullptr) instrumentation->convert_ms = convert_ms;
 
   // Same center count in steady state: copy-assign reuses the storage.
   previous_centers_ = result_.centers;

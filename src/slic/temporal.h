@@ -34,10 +34,10 @@ class TemporalSlic {
 
   /// Segments the next frame of the stream. The returned reference points
   /// at internal state that stays valid until the next call (or
-  /// destruction); copy it if you need it longer.
+  /// destruction); copy it if you need it longer. `instrumentation`
+  /// receives the frame's record, conversion time included.
   [[nodiscard]] const Segmentation& next_frame(
-      const RgbImage& frame, Instrumentation* instrumentation = nullptr,
-      PhaseTimer* phases = nullptr);
+      const RgbImage& frame, Instrumentation* instrumentation = nullptr);
 
   /// The warm iteration budget a 0 `warm_iterations` resolves to: half the
   /// cold budget, at least one full round-robin of the subsets. Exposed so

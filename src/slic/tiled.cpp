@@ -13,7 +13,6 @@
 
 #include "common/check.h"
 #include "common/logging.h"
-#include "common/stopwatch.h"
 #include "common/telemetry.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
@@ -220,8 +219,14 @@ class TiledRun {
     result.trace.reserve(static_cast<std::size_t>(params_.max_iterations));
     result.iterations_run = 0;
 
+    // One clock per stage, as in CpaSlic / PpaSlic: each complete() records
+    // the stage's span and adds the same measurement to its field.
+    trace::Interval init_stage;
     seed(result.centers);
     fill_initial_labels();
+    if (algorithm_ != Algorithm::kSslicPpa && schedule_.count() > 1)
+      seed_min_dist(result.centers);
+    instr_.init_ms += init_stage.complete("tiled.init");
     if (algorithm_ == Algorithm::kSslicPpa) {
       run_ppa(result);
     } else {
@@ -256,7 +261,6 @@ class TiledRun {
   /// perturbed positions are bit-identical to the full-image pass — without
   /// ever materializing an image-sized gradient plane.
   void seed(std::vector<ClusterCenter>& centers) {
-    SSLIC_TRACE_SCOPE("tiled.seed");
     centers.resize(static_cast<std::size_t>(grid_.num_centers()));
     const bool perturb = params_.perturb_centers;
     if (perturb && (w_ < 3 || h_ < 3)) {
@@ -381,7 +385,7 @@ class TiledRun {
       stats_.final_label_count = grid_.num_centers();
       return labels_;
     }
-    SSLIC_TRACE_SCOPE("tiled.connectivity");
+    trace::Interval connectivity_stage;
     if (store_.disk_backed()) {
       // The Lab and min-distance planes are dead from here on.
       store_.release_plane_rows(PlanarStore::Plane::kLabL, 0, h_);
@@ -424,6 +428,7 @@ class TiledRun {
         labels_, out, w_, h_, params_.num_superpixels, scratch, on_row,
         /*out_prefilled=*/true);
     stats_.final_label_count = conn.final_label_count;
+    instr_.connectivity_ms += connectivity_stage.complete("tiled.connectivity");
     return out;
   }
 
@@ -452,7 +457,6 @@ class TiledRun {
 
 void TiledRun::run_cpa(Segmentation& result) {
   const bool subsampled = schedule_.count() > 1;
-  if (subsampled) seed_min_dist(result.centers);
 
   const int num_centers = grid_.num_centers();
   const auto num_centers_z = static_cast<std::size_t>(num_centers);
@@ -482,12 +486,11 @@ void TiledRun::run_cpa(Segmentation& result) {
 
   for (int iter = 0; iter < params_.max_iterations; ++iter) {
     SSLIC_TRACE_SCOPE("tiled.iter", iter);
-    Stopwatch iter_watch;
     IterationStats stats;
     stats.iteration = iter;
 
     live_progress().iteration->set(iter);
-    trace::Interval assign_span;
+    trace::Interval iter_stages;  // assignment, then accumulation and update
     // Full SLIC's per-iteration min-distance reset, charged analytically
     // (the tiled path folds it into the per-tile scratch fill).
     if (!subsampled)
@@ -621,12 +624,12 @@ void TiledRun::run_cpa(Segmentation& result) {
     } else {
       pool.run_chunks(static_cast<std::size_t>(num_tiles), tile_body);
     }
-    assign_span.complete("tiled.assign", iter);
+    const double assign_ms = iter_stages.complete("tiled.assign", iter);
+    instr_.assign_ms += assign_ms;
 
     // Phase B: sigma accumulation over the monolithic fixed row bands,
     // partials folded in ascending band order — the exact reduction tree
     // of the in-memory path, independent of tiling and thread count.
-    trace::Interval update_span;
     const auto band_body = [&](std::size_t band, std::vector<Sigma>& band_pool) {
       const auto [blo, bhi] = detail::chunk_bounds(0, h_, bands, band);
       if (blo >= bhi) return;
@@ -677,11 +680,12 @@ void TiledRun::run_cpa(Segmentation& result) {
                        &instr_.ops);
     instr_.traffic.center_write +=
         static_cast<std::uint64_t>(num_centers) * MemTraffic::kCenterBytes;
-    update_span.complete("tiled.update", iter);
+    const double update_ms = iter_stages.complete("tiled.update", iter);
+    instr_.update_ms += update_ms;
 
     instr_.iterations += 1;
     result.iterations_run = iter + 1;
-    stats.elapsed_ms = iter_watch.elapsed_ms();
+    stats.elapsed_ms = assign_ms + update_ms;
     result.trace.push_back(stats);
 
     if (params_.convergence_threshold > 0.0 &&
@@ -715,12 +719,11 @@ void TiledRun::run_ppa(Segmentation& result) {
 
   for (int iter = 0; iter < params_.max_iterations; ++iter) {
     SSLIC_TRACE_SCOPE("tiled.iter", iter);
-    Stopwatch iter_watch;
     IterationStats stats;
     stats.iteration = iter;
 
     live_progress().iteration->set(iter);
-    trace::Interval assign_span;
+    trace::Interval iter_stages;  // assignment, then accumulation and update
     std::fill(tile_skipped.begin(), tile_skipped.end(), std::uint8_t{0});
 
     // Serial pre-pass over the grid cells: preemptive skips and the
@@ -877,14 +880,14 @@ void TiledRun::run_ppa(Segmentation& result) {
         stats.pixels_visited * MemTraffic::kDistanceBytes;
     instr_.traffic.distance_write +=
         stats.pixels_visited * MemTraffic::kDistanceBytes;
-    assign_span.complete("tiled.assign", iter);
+    const double assign_ms = iter_stages.complete("tiled.assign", iter);
+    instr_.assign_ms += assign_ms;
 
     // Phase B: serial sigma accumulation in global row-major order. Every
     // sigma gets the additions, in the order, that the monolithic path's
     // center-row-owned bands give it, so centers match bit for bit; the
     // serial sweep streams the label and Lab rows once and releases them
     // behind the cursor.
-    trace::Interval update_span;
     for (auto& s : sigmas) s.clear();
     std::uint64_t accumulated = 0;
     int released = 0;
@@ -916,11 +919,12 @@ void TiledRun::run_ppa(Segmentation& result) {
 
     stats.center_movement = update_ppa_centers(
         sigmas, dist_, params_, centers, calm_streak, frozen, instr_);
-    update_span.complete("tiled.update", iter);
+    const double update_ms = iter_stages.complete("tiled.update", iter);
+    instr_.update_ms += update_ms;
 
     instr_.iterations += 1;
     result.iterations_run = iter + 1;
-    stats.elapsed_ms = iter_watch.elapsed_ms();
+    stats.elapsed_ms = assign_ms + update_ms;
     result.trace.push_back(stats);
 
     if (params_.convergence_threshold > 0.0 &&
@@ -1042,7 +1046,7 @@ Segmentation TiledSegmenter::segment_lab(const LabImage& lab,
       stats->peak_rss = peak_rss_bytes();
     }
     return run_segmenter_lab(algorithm_, params_, lab, DataWidth::float64(), {},
-                             instrumentation, nullptr);
+                             instrumentation);
   }
 
   const bool needs_min_dist =

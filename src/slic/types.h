@@ -74,7 +74,7 @@ struct IterationStats {
   int iteration = 0;
   double center_movement = 0.0;   ///< mean L1 (x,y) movement of updated centers
   std::size_t pixels_visited = 0; ///< pixels whose assignment was recomputed
-  double elapsed_ms = 0.0;        ///< wall time of this iteration (callbacks excluded)
+  double elapsed_ms = 0.0;        ///< this iteration's assign + update stage time
 };
 
 /// Segmentation result.

@@ -1,4 +1,4 @@
-// Unit tests for src/common: contracts, Span2d, Rng, PhaseTimer, Table, CLI.
+// Unit tests for src/common: contracts, Span2d, Rng, Stopwatch, Table, CLI.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -180,40 +180,7 @@ TEST(Rng, BernoulliProbabilityRoughlyHolds) {
   EXPECT_NEAR(static_cast<double>(hits) / kN, 0.25, 0.02);
 }
 
-// --------------------------------------------------------------- PhaseTimer
-
-TEST(PhaseTimer, AccumulatesByName) {
-  PhaseTimer timer;
-  timer.add("a", 2.0);
-  timer.add("a", 3.0);
-  timer.add("b", 5.0);
-  EXPECT_DOUBLE_EQ(timer.phase_ms("a"), 5.0);
-  EXPECT_DOUBLE_EQ(timer.phase_ms("b"), 5.0);
-  EXPECT_DOUBLE_EQ(timer.total_ms(), 10.0);
-  EXPECT_DOUBLE_EQ(timer.phase_fraction("a"), 0.5);
-}
-
-TEST(PhaseTimer, UnknownPhaseIsZero) {
-  PhaseTimer timer;
-  EXPECT_DOUBLE_EQ(timer.phase_ms("missing"), 0.0);
-  EXPECT_DOUBLE_EQ(timer.phase_fraction("missing"), 0.0);
-}
-
-TEST(PhaseTimer, MergeAddsAllPhases) {
-  PhaseTimer a, b;
-  a.add("x", 1.0);
-  b.add("x", 2.0);
-  b.add("y", 4.0);
-  a.merge(b);
-  EXPECT_DOUBLE_EQ(a.phase_ms("x"), 3.0);
-  EXPECT_DOUBLE_EQ(a.phase_ms("y"), 4.0);
-}
-
-TEST(PhaseTimer, ScopedPhaseRecordsNonNegativeTime) {
-  PhaseTimer timer;
-  { ScopedPhase scope(timer, "scope"); }
-  EXPECT_GE(timer.phase_ms("scope"), 0.0);
-}
+// ---------------------------------------------------------------- Stopwatch
 
 TEST(Stopwatch, MonotonicNonNegative) {
   Stopwatch w;

@@ -26,10 +26,12 @@
 #include "common/alloc_counter.h"
 #include "common/check.h"
 #include "common/ops_server.h"
+#include "common/simd.h"
 #include "common/telemetry.h"
 #include "common/thread_pool.h"
 #include "dataset/synthetic.h"
 #include "engine/engine.h"
+#include "slic/assign_kernels.h"
 #include "slic/fusion.h"
 #include "slic/slic_baseline.h"
 #include "slic/temporal.h"
@@ -658,6 +660,11 @@ TEST(StreamEngine, WideEventStagesSumToEndToEndLatency) {
     trace_ids.push_back(engine.submit(id, frame).context.trace_id);
   engine.drain();
 
+  // The segmenter's stages are timed inside the segment stage.
+  const auto segmenter_ms = [](const ops::WideFrameEvent& e) {
+    return e.convert_ms + e.init_ms + e.assign_ms + e.update_ms +
+           e.connectivity_ms;
+  };
   const std::vector<ops::WideFrameEvent> events = ops::recent_frame_events();
   ASSERT_EQ(events.size(), frames.size());
   for (std::size_t f = 0; f < events.size(); ++f) {
@@ -676,8 +683,15 @@ TEST(StreamEngine, WideEventStagesSumToEndToEndLatency) {
                              e.segment_ms + e.callback_ms;
     EXPECT_NEAR(stage_sum, e.e2e_ms, 1e-6 * std::max(1.0, e.e2e_ms))
         << "stages must tile the end-to-end latency, frame " << f;
+    EXPECT_GE(e.convert_ms, 0.0);
+    EXPECT_GE(e.init_ms, 0.0);
+    EXPECT_GT(e.assign_ms, 0.0);
+    EXPECT_GE(e.update_ms, 0.0);
+    EXPECT_GE(e.connectivity_ms, 0.0);
+    EXPECT_LE(segmenter_ms(e), e.segment_ms) << f;
     EXPECT_GT(e.iterations, 0u);
     EXPECT_STRNE(e.isa, "");
+    EXPECT_STREQ(e.isa, simd::isa_name(kernels::active_isa()));
     EXPECT_GE(e.batch_frames, 1u);
     EXPECT_GT(e.completed_ns, 0u);
     // Frame 1 and the first frame at the new resolution cold-start; every
@@ -698,6 +712,33 @@ TEST(StreamEngine, WideEventStagesSumToEndToEndLatency) {
     EXPECT_EQ(events[f].final_labels, instr.final_label_count) << f;
     EXPECT_EQ(events[f].pixels_relabelled, instr.pixels_relabelled) << f;
   }
+
+  // A CPA stream converts in the engine itself, which records the
+  // conversion time srgb_to_lab returns. (The callback also holds drain()
+  // until the frames' wide events are recorded.)
+  ops::framez_reset();
+  std::vector<double> cpa_convert_ms;
+  StreamOptions cpa_opts;
+  cpa_opts.params = small_params(40, 3);
+  cpa_opts.algorithm = engine::StreamAlgorithm::kCpa;
+  cpa_opts.temporal_warm = false;
+  cpa_opts.on_complete = [&](const FrameResult& result) {
+    cpa_convert_ms.push_back(result.instrumentation->convert_ms);
+  };
+  const StreamId cpa_id = engine.open_stream(cpa_opts);
+  for (std::size_t f = 0; f < 2; ++f) (void)engine.submit(cpa_id, frames[f]);
+  engine.drain();
+  const std::vector<ops::WideFrameEvent> cpa_events = ops::recent_frame_events();
+  ASSERT_EQ(cpa_events.size(), 2u);
+  ASSERT_EQ(cpa_convert_ms.size(), 2u);
+  for (std::size_t f = 0; f < cpa_events.size(); ++f) {
+    const ops::WideFrameEvent& e = cpa_events[f];
+    EXPECT_GT(e.convert_ms, 0.0) << f;
+    EXPECT_EQ(e.convert_ms, cpa_convert_ms[f]) << f;
+    EXPECT_GT(e.assign_ms, 0.0) << f;
+    EXPECT_LE(segmenter_ms(e), e.segment_ms) << f;
+  }
+  engine.close_stream(cpa_id);
 }
 
 // A stream with a latency SLO the engine cannot possibly meet must burn its

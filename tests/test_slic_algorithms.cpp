@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <set>
 #include <tuple>
 #include <utility>
@@ -18,6 +19,7 @@
 #include "slic/slic_baseline.h"
 #include "slic/subsampled.h"
 #include "slic/temporal.h"
+#include "slic/tiled.h"
 
 namespace sslic {
 namespace {
@@ -122,15 +124,82 @@ TEST(CpaSlic, CallbackSeesEveryIteration) {
   EXPECT_EQ(seg.iterations_run, 4);
 }
 
-TEST(CpaSlic, PhaseTimerCoversAllPhases) {
+// Every driver times the five Table 1 stages into its Instrumentation
+// record. The Lab entry points (the tiled driver included) start after
+// conversion and leave convert_ms at 0.
+TEST(Instrumentation, EveryDriverTimesEveryStage) {
   const auto& gt = test_case();
-  PhaseTimer phases;
-  (void)CpaSlic(quick_params()).segment(gt.image, {}, nullptr, &phases);
-  EXPECT_GT(phases.phase_ms(CpaSlic::kPhaseColorConversion), 0.0);
-  EXPECT_GT(phases.phase_ms(CpaSlic::kPhaseDistanceMin), 0.0);
-  EXPECT_GT(phases.phase_ms(CpaSlic::kPhaseCenterUpdate), 0.0);
-  EXPECT_GT(phases.phase_ms(CpaSlic::kPhaseConnectivity), 0.0);
-  EXPECT_GT(phases.phase_ms(CpaSlic::kPhaseOther), 0.0);
+  const LabImage lab = srgb_to_lab(gt.image);
+  const SlicParams params = quick_params();
+  SlicParams half = params;
+  half.subsample_ratio = 0.5;
+  TiledConfig tiled;
+  tiled.force_tiled = true;
+  tiled.tile_width = 48;
+  tiled.tile_height = 32;
+  TemporalSlic temporal(half);
+
+  struct Driver {
+    const char* name;
+    bool converts;
+    std::function<void(Instrumentation*)> run;
+  };
+  const Driver drivers[] = {
+      {"CpaSlic", true,
+       [&](Instrumentation* i) { (void)CpaSlic(params).segment(gt.image, {}, i); }},
+      {"PpaSlic(0.5)", true,
+       [&](Instrumentation* i) { (void)PpaSlic(half).segment(gt.image, {}, i); }},
+      {"TemporalSlic, cold frame", true,
+       [&](Instrumentation* i) { (void)temporal.next_frame(gt.image, i); }},
+      {"TemporalSlic, warm frame", true,
+       [&](Instrumentation* i) { (void)temporal.next_frame(gt.image, i); }},
+      {"run_segmenter SLIC", true,
+       [&](Instrumentation* i) {
+         (void)run_segmenter(Algorithm::kSlic, params, gt.image,
+                             DataWidth::float64(), {}, i);
+       }},
+      {"run_segmenter S-SLIC-CPA(0.5)", true,
+       [&](Instrumentation* i) {
+         (void)run_segmenter(Algorithm::kSslicCpa, half, gt.image,
+                             DataWidth::float64(), {}, i);
+       }},
+      {"run_segmenter S-SLIC-PPA(0.5)", true,
+       [&](Instrumentation* i) {
+         (void)run_segmenter(Algorithm::kSslicPpa, half, gt.image,
+                             DataWidth::float64(), {}, i);
+       }},
+      {"CpaSlic::segment_lab", false,
+       [&](Instrumentation* i) { (void)CpaSlic(params).segment_lab(lab, {}, i); }},
+      {"PpaSlic::segment_lab_warm", false,
+       [&](Instrumentation* i) {
+         const Segmentation cold = PpaSlic(half).segment_lab(lab);
+         (void)PpaSlic(half).segment_lab_warm(lab, cold.centers, {}, i);
+       }},
+      {"TiledSegmenter CPA", false,
+       [&](Instrumentation* i) {
+         (void)TiledSegmenter(Algorithm::kSslicCpa, half, tiled)
+             .segment_lab(lab, i);
+       }},
+      {"TiledSegmenter PPA", false,
+       [&](Instrumentation* i) {
+         (void)TiledSegmenter(Algorithm::kSslicPpa, half, tiled)
+             .segment_lab(lab, i);
+       }},
+  };
+  for (const Driver& driver : drivers) {
+    SCOPED_TRACE(driver.name);
+    Instrumentation instr;
+    driver.run(&instr);
+    if (driver.converts) {
+      EXPECT_GT(instr.convert_ms, 0.0);
+    } else {
+      EXPECT_EQ(instr.convert_ms, 0.0);
+    }
+    EXPECT_GT(instr.init_ms, 0.0);
+    EXPECT_GT(instr.assign_ms, 0.0);
+    EXPECT_GT(instr.update_ms, 0.0);
+    EXPECT_GT(instr.connectivity_ms, 0.0);
+  }
 }
 
 TEST(CpaSlic, InstrumentationCountsWindowScans) {

@@ -1,10 +1,9 @@
 // Tests for the unified telemetry layer: metrics registry (counters,
-// gauges, percentile histograms), the PhaseTimer/ThreadPool/Instrumentation
-// exporters, and the tracing-span session (recording, nesting, stop-on-full
-// retention, Chrome trace-event serialization, stage spans agreeing with
-// PhaseTimer phases). Telemetry must observe without perturbing:
-// the golden-run test cross-checks exported counters against the
-// Instrumentation record itself.
+// gauges, percentile histograms), the ThreadPool exporter, and the
+// tracing-span session (recording, nesting, stop-on-full retention, Chrome
+// trace-event serialization, stage spans agreeing with the Instrumentation
+// stage times). Telemetry must observe without perturbing: a traced golden
+// run matches an untraced one byte for byte.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +20,6 @@
 #include <vector>
 
 #include "color/color_convert.h"
-#include "common/stopwatch.h"
 #include "common/telemetry.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
@@ -29,8 +27,8 @@
 #include "slic/fusion.h"
 #include "slic/slic_baseline.h"
 #include "slic/subsampled.h"
-#include "slic/telemetry_bridge.h"
 #include "slic/temporal.h"
+#include "slic/tiled.h"
 
 namespace sslic {
 namespace {
@@ -360,17 +358,6 @@ TEST(PrometheusSink, NonFiniteValuesAndLeadingDigits) {
   EXPECT_NE(text.find("sslic_test_ninf -Inf"), std::string::npos);
 }
 
-// Satellite (b): PhaseTimer::add must be safe when worker threads attribute
-// time concurrently.
-TEST(PhaseTimer, ConcurrentAddAccumulatesExactly) {
-  PhaseTimer timer;
-  ThreadPool pool(4);
-  constexpr std::size_t kChunks = 64;
-  pool.run_chunks(kChunks, [&](std::size_t) { timer.add("phase", 1.0); });
-  EXPECT_DOUBLE_EQ(timer.phase_ms("phase"), 64.0);
-  EXPECT_DOUBLE_EQ(timer.total_ms(), 64.0);
-}
-
 TEST(ThreadPoolStats, ChunkTotalsMatchSubmittedWork) {
   ThreadPool pool(4);
   const std::uint64_t jobs_before = pool.jobs_run();
@@ -405,52 +392,6 @@ TEST(Exporters, ThreadPoolMetricsLandInRegistry) {
                   .value();
   }
   EXPECT_EQ(chunks, 16u);
-}
-
-TEST(Exporters, PhaseTimerMetricsLandInRegistry) {
-  PhaseTimer timer;
-  timer.add("assign", 12.0);
-  timer.add("update", 3.0);
-  MetricsRegistry registry;
-  telemetry::export_phase_timer(timer, "cpa", registry);
-  EXPECT_DOUBLE_EQ(registry.gauge("sslic.cpa.phase_ms.assign").value(), 12.0);
-  EXPECT_DOUBLE_EQ(registry.gauge("sslic.cpa.phase_ms.update").value(), 3.0);
-  EXPECT_DOUBLE_EQ(registry.gauge("sslic.cpa.total_ms").value(), 15.0);
-}
-
-// Tentpole acceptance: counters exported from a golden CPA run must agree
-// with the Instrumentation record exactly.
-TEST(Exporters, InstrumentationCountersMatchGoldenCpaRun) {
-  SyntheticParams scene;
-  scene.width = 160;
-  scene.height = 120;
-  const GroundTruthImage gt = generate_synthetic(scene, 1234);
-
-  SlicParams params;
-  params.num_superpixels = 64;
-  params.max_iterations = 4;
-  Instrumentation instr;
-  const CpaSlic slic(params);
-  const Segmentation seg = slic.segment(gt.image, {}, &instr);
-  ASSERT_FALSE(seg.labels.empty());
-  ASSERT_GT(instr.ops.distance_evals, 0u);
-
-  MetricsRegistry registry;
-  telemetry::export_instrumentation(instr, "cpa", registry);
-  EXPECT_EQ(registry.counter("sslic.cpa.ops.distance_evals").value(),
-            instr.ops.distance_evals);
-  EXPECT_EQ(registry.counter("sslic.cpa.ops.distance_ops").value(),
-            instr.ops.distance_ops());
-  EXPECT_EQ(registry.counter("sslic.cpa.ops.compare").value(),
-            instr.ops.compare_ops);
-  EXPECT_EQ(registry.counter("sslic.cpa.ops.accumulate").value(),
-            instr.ops.accumulate_ops);
-  EXPECT_EQ(registry.counter("sslic.cpa.ops.divide").value(),
-            instr.ops.divide_ops);
-  EXPECT_EQ(registry.counter("sslic.cpa.traffic.total").value(),
-            instr.traffic.total());
-  EXPECT_EQ(registry.counter("sslic.cpa.iterations").value(),
-            instr.iterations);
 }
 
 #if SSLIC_TRACING_ENABLED
@@ -647,11 +588,11 @@ TEST(Trace, FullRingKeepsFirstSpansAndCountsDrops) {
   trace::reset();
 }
 
-// One clock per stage: a segmenter stage's span and its PhaseTimer phase
-// come from the same two clock reads. Per phase, the summed span durations
-// (nanosecond precision in the serializer) match the phase total to within
-// the ring's 1 ns nudge of an equal end timestamp, once per span.
-TEST(Trace, StageSpansMatchPhaseTimer) {
+// One clock per stage: a segmenter stage's span and its Instrumentation
+// stage time come from the same two clock reads. Per stage, the summed span
+// durations (nanosecond precision in the serializer) match the field to
+// within the ring's 1 ns nudge of an equal end timestamp, once per span.
+TEST(Trace, StageSpansMatchInstrumentation) {
   SyntheticParams scene;
   scene.width = 160;
   scene.height = 120;
@@ -660,10 +601,14 @@ TEST(Trace, StageSpansMatchPhaseTimer) {
   SlicParams params;
   params.num_superpixels = 64;
   params.max_iterations = 4;
+  TiledConfig tiled;
+  tiled.force_tiled = true;
+  tiled.tile_width = 64;
+  tiled.tile_height = 48;
 
-  // The Lab entry points start after conversion; the RGB entry points and
-  // TemporalSlic also time the conversion stage.
-  enum class Entry { kLab, kRgb, kTemporal };
+  // The Lab and tiled entry points start after conversion; the RGB entry
+  // points and TemporalSlic also time the conversion stage.
+  enum class Entry { kLab, kRgb, kTemporal, kTiled };
   struct Case {
     const char* label;
     Entry entry;
@@ -687,10 +632,14 @@ TEST(Trace, StageSpansMatchPhaseTimer) {
        "ppa.assign", "ppa.update", "ppa.connectivity"},
       {"TemporalSlic, two frames", Entry::kTemporal, true, true, "ppa.init",
        "ppa.assign", "ppa.update", "ppa.connectivity"},
+      {"tiled CPA", Entry::kTiled, false, true, "tiled.init", "tiled.assign",
+       "tiled.update", "tiled.connectivity"},
+      {"tiled PPA(0.5)", Entry::kTiled, true, true, "tiled.init",
+       "tiled.assign", "tiled.update", "tiled.connectivity"},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.label);
-    PhaseTimer phases;
+    Instrumentation total;  // the case's stage times, summed over its runs
     trace::reset();
     trace::set_armed(true);
     {
@@ -700,36 +649,48 @@ TEST(Trace, StageSpansMatchPhaseTimer) {
       switch (c.entry) {
         case Entry::kLab:
           if (c.ppa) {
-            (void)PpaSlic(run_params).segment_lab(lab, {}, nullptr, &phases);
+            (void)PpaSlic(run_params).segment_lab(lab, {}, &total);
           } else {
-            (void)CpaSlic(run_params).segment_lab(lab, {}, nullptr, &phases);
+            (void)CpaSlic(run_params).segment_lab(lab, {}, &total);
           }
           break;
         case Entry::kRgb:
           if (c.ppa) {
-            (void)PpaSlic(run_params).segment(gt.image, {}, nullptr, &phases);
+            (void)PpaSlic(run_params).segment(gt.image, {}, &total);
           } else {
-            (void)CpaSlic(run_params).segment(gt.image, {}, nullptr, &phases);
+            (void)CpaSlic(run_params).segment(gt.image, {}, &total);
           }
           break;
         case Entry::kTemporal: {
           TemporalSlic temporal(run_params);
-          for (int frame = 0; frame < 2; ++frame)
-            (void)temporal.next_frame(gt.image, nullptr, &phases);
+          for (int frame = 0; frame < 2; ++frame) {
+            Instrumentation run;
+            (void)temporal.next_frame(gt.image, &run);
+            total.convert_ms += run.convert_ms;
+            total.init_ms += run.init_ms;
+            total.assign_ms += run.assign_ms;
+            total.update_ms += run.update_ms;
+            total.connectivity_ms += run.connectivity_ms;
+          }
           break;
         }
+        case Entry::kTiled:
+          (void)TiledSegmenter(c.ppa ? Algorithm::kSslicPpa : Algorithm::kSlic,
+                               run_params, tiled)
+              .segment_lab(lab, &total);
+          break;
       }
     }
+    const bool converts = c.entry == Entry::kRgb || c.entry == Entry::kTemporal;
     const std::vector<ParsedEvent> events = parse_trace(serialize_session());
-    std::vector<std::pair<const char*, const char*>> pairs = {
-        {CpaSlic::kPhaseOther, c.init},
-        {CpaSlic::kPhaseDistanceMin, c.assign},
-        {CpaSlic::kPhaseCenterUpdate, c.update},
-        {CpaSlic::kPhaseConnectivity, c.connectivity},
+    const std::pair<double, std::string> stages[] = {
+        {total.convert_ms, "color.srgb_to_lab"},
+        {total.init_ms, c.init},
+        {total.assign_ms, c.assign},
+        {total.update_ms, c.update},
+        {total.connectivity_ms, c.connectivity},
     };
-    if (c.entry != Entry::kLab)
-      pairs.emplace_back(CpaSlic::kPhaseColorConversion, "color.srgb_to_lab");
-    for (const auto& [phase, span] : pairs) {
+    for (const auto& [ms, span] : stages) {
       double span_ns = 0.0;
       int spans = 0;
       for (const ParsedEvent& e : events) {
@@ -737,9 +698,13 @@ TEST(Trace, StageSpansMatchPhaseTimer) {
         span_ns += e.dur * 1e3;
         ++spans;
       }
+      if (span == "color.srgb_to_lab" && !converts) {
+        EXPECT_EQ(spans, 0);
+        EXPECT_EQ(ms, 0.0);
+        continue;
+      }
       ASSERT_GT(spans, 0) << span;
-      EXPECT_NEAR(phases.phase_ms(phase) * 1e6, span_ns, spans * 1.0 + 1e-3)
-          << phase << " vs " << span;
+      EXPECT_NEAR(ms * 1e6, span_ns, spans * 1.0 + 1e-3) << span;
     }
   }
   trace::reset();
