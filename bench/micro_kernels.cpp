@@ -169,12 +169,11 @@ void BM_SimdAssignCandidatesRow(benchmark::State& state) {
   const auto isa = static_cast<simd::Isa>(state.range(0));
   const kernels::KernelTable& kt = kernels::table_for(isa);
   const KernelRow& row = kernel_row();
-  std::vector<double> min_dist = row.min_dist;
   std::vector<std::int32_t> labels = row.labels;
   for (auto _ : state) {
     kt.assign_candidates_row(row.L.data(), row.a.data(), row.b.data(), 0,
                              KernelRow::kWidth, 160.0, row.cands.data(), 9,
-                             0.25, nullptr, min_dist.data(), labels.data());
+                             0.25, nullptr, labels.data());
     benchmark::DoNotOptimize(labels.data());
   }
   state.SetLabel(simd::isa_name(isa));

@@ -128,7 +128,7 @@ double bytes_per_pixel(Kernel k) {
     case Kernel::kCenterRow:
       return 3 * 4 + 8 + 4 + 8 + 4;  // 3 floats + min r/w + label r/w
     case Kernel::kCandidatesRow:
-      return 3 * 4 + 8 + 4;  // 3 floats in, min + label out
+      return 3 * 4 + 4;  // 3 floats in, label out
     case Kernel::kCandidatesRowU8:
       return 3 * 1 + 4;  // 3 channel bytes in, label out
   }
@@ -155,7 +155,7 @@ void run_pass(const kernels::KernelTable& table, Kernel kernel,
         table.assign_candidates_row(
             wl.L.data() + off, wl.a.data() + off, wl.b.data() + off, 0, width,
             static_cast<double>(r), wl.cands.data(), 9, wl.spatial_weight,
-            nullptr, state.min_dist.data() + off, state.labels.data() + off);
+            nullptr, state.labels.data() + off);
         break;
       case Kernel::kCandidatesRowU8:
         table.assign_candidates_row_u8(

@@ -135,8 +135,8 @@ int main(int argc, char** argv) {
   const TiledSegmenter segmenter(algorithm, params, config);
 
   // Live ops plane: `--ops-port=N` (or SSLIC_OPS_PORT) serves the runtime
-  // state of the streamed run — /varz shows sslic.tiled.live.* advancing
-  // while the sweep is in flight.
+  // state of the streamed run — /tracez shows the iteration and stage spans
+  // (cpa.* / ppa.*) as the sweep completes them.
   telemetry::register_slic_statusz();
   ops::OpsServer ops_server;
   if (args.has("ops-port")) {

@@ -21,6 +21,10 @@ namespace {
 // single-job Impl state.
 thread_local bool t_in_parallel = false;
 
+// Stat slot of this thread (ThreadPool::current_slot): set once by each
+// pool worker, 0 everywhere else.
+thread_local std::size_t t_slot = 0;
+
 }  // namespace
 
 struct ThreadPool::Impl {
@@ -105,6 +109,7 @@ struct ThreadPool::Impl {
   // reset counters mid-claim and double-run a chunk.
   void worker_loop(std::size_t slot) {
     t_in_parallel = true;
+    t_slot = slot;
     trace::set_thread_name("sslic-worker-" + std::to_string(slot));
     std::uint64_t seen_generation = 0;
     for (;;) {
@@ -237,6 +242,8 @@ std::uint64_t ThreadPool::jobs_run() const {
 }
 
 bool ThreadPool::in_parallel_region() { return t_in_parallel; }
+
+std::size_t ThreadPool::current_slot() { return t_slot; }
 
 int ThreadPool::default_threads() {
   if (const char* env = std::getenv("SSLIC_THREADS")) {

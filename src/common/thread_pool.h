@@ -121,6 +121,12 @@ class ThreadPool {
   /// parallel primitives use this to fall back to serial execution.
   static bool in_parallel_region();
 
+  /// Stat slot of the calling thread: 1..threads-1 on a pool worker, 0 on
+  /// any other thread. Two chunks of one run_chunks job that run at the
+  /// same time always report different slots, so a job can index
+  /// per-thread scratch by it.
+  static std::size_t current_slot();
+
  private:
   struct Impl;
 

@@ -519,6 +519,7 @@ void StreamEngine::scheduler_loop() {
         ++stream.callbacks_inflight;
       }
     }
+    events_pending_ += drafts_.size();
     inflight_gauge_->set(0.0);
     lock.unlock();
     space_cv_.notify_all();
@@ -544,11 +545,10 @@ void StreamEngine::scheduler_loop() {
       ops::record_frame_event(draft.event);
     }
     lock.lock();
-    if (!callbacks_.empty()) {
-      for (const PendingCallback& pending : callbacks_)
-        --pending.stream->callbacks_inflight;
-      done_cv_.notify_all();
-    }
+    for (const PendingCallback& pending : callbacks_)
+      --pending.stream->callbacks_inflight;
+    events_pending_ -= drafts_.size();
+    if (!drafts_.empty()) done_cv_.notify_all();
   }
 }
 
@@ -614,7 +614,7 @@ void StreamEngine::drain() {
   std::unique_lock<std::mutex> lock(mutex_);
   done_cv_.wait(lock, [this] {
     if (stop_) return true;
-    if (global_queued_ != 0) return false;
+    if (global_queued_ != 0 || events_pending_ != 0) return false;
     for (const auto& stream : streams_)
       if (stream->in_flight || stream->callbacks_inflight != 0) return false;
     return true;

@@ -239,7 +239,9 @@ class StreamEngine {
   /// Blocks until `ticket`'s frame completes or is dropped.
   WaitStatus wait(const FrameTicket& ticket);
 
-  /// Blocks until every queue is empty and no frame is in flight.
+  /// Blocks until every queue is empty, no frame is in flight, and every
+  /// completed frame's callback has run and its wide event has reached the
+  /// frame log (ops::recent_frame_events).
   void drain();
 
   /// The last completed segmentation of `id` — valid until the engine
@@ -395,6 +397,9 @@ class StreamEngine {
   StreamId next_stream_id_ = 1;
   std::size_t round_robin_cursor_ = 0;  ///< batch-former fairness cursor
   std::size_t global_queued_ = 0;
+  /// Wide events drafted by the scheduler but not yet recorded; drain()
+  /// waits for 0, as it does for callbacks_inflight.
+  std::size_t events_pending_ = 0;
 
   // Scheduler-thread scratch, grow-only (zero-alloc steady state).
   std::vector<BatchEntry> batch_;

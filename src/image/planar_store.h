@@ -41,9 +41,9 @@ class PlanarStore {
   PlanarStore& operator=(const PlanarStore&) = delete;
 
   /// Maps planes for a width x height raster. `with_min_dist` adds the
-  /// 8-byte-per-pixel persistent minimum-distance plane (subsampled CPA and
-  /// PPA need it; full-SLIC CPA keeps its running minima in per-tile
-  /// scratch instead). Throws on mapping failure.
+  /// 8-byte-per-pixel persistent minimum-distance plane (subsampled CPA
+  /// needs it; full-SLIC CPA keeps its running minima in per-tile scratch
+  /// and PPA keeps none). Throws on mapping failure.
   void open(int width, int height, bool with_min_dist, const Config& config);
   void open(int width, int height, bool with_min_dist) {
     open(width, height, with_min_dist, Config{});

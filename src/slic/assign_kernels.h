@@ -79,13 +79,14 @@ struct KernelTable {
   /// PPA best-of-candidates: for i in [0, count) with active[i] != 0 (a
   /// null `active` means every pixel), finds the candidate with the
   /// minimum distance (ties keep the earliest list slot) and stores the
-  /// distance into min_dist[i] and the candidate index into labels[i].
-  /// Inactive pixels are left untouched. `ncand` must be >= 1.
+  /// candidate index into labels[i]. Each pixel takes a fresh best of the
+  /// list, so no running minimum is read or kept. Inactive pixels are left
+  /// untouched. `ncand` must be >= 1.
   void (*assign_candidates_row)(const float* L, const float* a, const float* b,
                                 std::int32_t x0, std::int32_t count, double y,
                                 const CenterOperand* cands, std::int32_t ncand,
                                 double spatial_weight,
-                                const std::uint8_t* active, double* min_dist,
+                                const std::uint8_t* active,
                                 std::int32_t* labels);
 
   /// 8-bit integer datapath best-of-candidates (HwSlic::integer_distance

@@ -137,7 +137,7 @@ void assign_candidates_row_impl(const float* L, const float* a, const float* b,
                                 std::int32_t x0, std::int32_t count, double y,
                                 const CenterOperand* cands, std::int32_t ncand,
                                 double spatial_weight,
-                                const std::uint8_t* active, double* min_dist,
+                                const std::uint8_t* active,
                                 std::int32_t* labels) {
   constexpr std::int32_t kL = B::kLanesF64;
   const auto w = B::set1_f64(spatial_weight);
@@ -168,12 +168,9 @@ void assign_candidates_row_impl(const float* L, const float* a, const float* b,
       best_idx = B::select_lab(m, B::set1_lab(c.index), best_idx);
     }
     if (active == nullptr) {
-      B::storeu_f64(min_dist + i, best);
       B::storeu_lab(labels + i, best_idx);
     } else {
       const auto am = B::mask_f64_from_bytes(active + i);
-      B::storeu_f64(min_dist + i,
-                    B::select_f64(am, best, B::loadu_f64(min_dist + i)));
       B::storeu_lab(labels + i,
                     B::select_lab(am, best_idx, B::loadu_lab(labels + i)));
     }
@@ -183,7 +180,7 @@ void assign_candidates_row_impl(const float* L, const float* a, const float* b,
       assign_candidates_row_impl<ScalarBackend>(
           L + i, a + i, b + i, x0 + i, count - i, y, cands, ncand,
           spatial_weight, active == nullptr ? nullptr : active + i,
-          min_dist + i, labels + i);
+          labels + i);
     }
   }
 }

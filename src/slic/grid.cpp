@@ -5,6 +5,7 @@
 
 #include "common/check.h"
 #include "image/gradient.h"
+#include "slic/iteration.h"
 
 namespace sslic {
 
@@ -57,44 +58,56 @@ double CenterGrid::center_pos_y(int gy) const {
   return (gy + 0.5) * static_cast<double>(height_) / ny_;
 }
 
-std::vector<ClusterCenter> seed_centers(const CenterGrid& grid,
-                                        const LabImage& lab,
-                                        bool perturb_to_gradient_minimum) {
-  std::vector<ClusterCenter> centers;
-  Image<float> gradient;
-  seed_centers(grid, lab, perturb_to_gradient_minimum, centers, gradient);
-  return centers;
-}
-
-void seed_centers(const CenterGrid& grid, const LabImage& lab,
+void seed_centers(const CenterGrid& grid, const PlaneView& planes,
                   bool perturb_to_gradient_minimum,
-                  std::vector<ClusterCenter>& centers,
-                  Image<float>& gradient_scratch) {
-  SSLIC_CHECK(lab.width() == grid.width() && lab.height() == grid.height());
-  const Image<float>& gradient = gradient_scratch;
-  if (perturb_to_gradient_minimum)
-    lab_gradient_magnitude(lab, gradient_scratch);
-
+                  std::vector<ClusterCenter>& centers) {
+  const int w = grid.width();
+  const int h = grid.height();
+  SSLIC_CHECK(planes.width == w && planes.height == h);
   centers.resize(static_cast<std::size_t>(grid.num_centers()));
+  int released = 0;
   for (int gy = 0; gy < grid.ny(); ++gy) {
+    const int row_y = std::clamp(static_cast<int>(grid.center_pos_y(gy)), 0, h - 1);
     for (int gx = 0; gx < grid.nx(); ++gx) {
-      int px = std::clamp(static_cast<int>(grid.center_pos_x(gx)), 0,
-                          grid.width() - 1);
-      int py = std::clamp(static_cast<int>(grid.center_pos_y(gy)), 0,
-                          grid.height() - 1);
+      int px = std::clamp(static_cast<int>(grid.center_pos_x(gx)), 0, w - 1);
+      int py = row_y;
       if (perturb_to_gradient_minimum) {
-        const Point p = argmin_gradient_3x3(gradient, px, py);
+        const Point p =
+            argmin_gradient_probe(planes.L, planes.a, planes.b, w, h, px, py);
         px = p.x;
         py = p.y;
       }
-      const LabF color = lab(px, py);
+      const LabF color = planes.lab(planes.offset(px, py));
       ClusterCenter& c =
           centers[static_cast<std::size_t>(grid.center_index(gx, gy))];
       c = {static_cast<double>(color.L), static_cast<double>(color.a),
            static_cast<double>(color.b), static_cast<double>(px),
            static_cast<double>(py)};
     }
+    // This grid row's probes reach clamp(row_y, 1, h-2) + 2 at most, and
+    // the next row's start below, so the rows above row_y + 3 are done.
+    // Without the release the scattered probe faults — each inflated by
+    // the kernel's fault-around readahead on file mappings — would leave a
+    // large fraction of out-of-core Lab planes resident before the first
+    // iteration starts.
+    planes.release_behind(released, std::min(h, row_y + 3));
   }
+  planes.release_rows(released, h);
+}
+
+std::vector<ClusterCenter> seed_centers(const CenterGrid& grid,
+                                        const LabImage& lab,
+                                        bool perturb_to_gradient_minimum) {
+  std::vector<ClusterCenter> centers;
+  seed_centers(grid, PlaneView::of(lab), perturb_to_gradient_minimum, centers);
+  return centers;
+}
+
+void seed_centers(const CenterGrid& grid, const LabImage& lab,
+                  bool perturb_to_gradient_minimum,
+                  std::vector<ClusterCenter>& centers,
+                  Image<float>& /*gradient_scratch*/) {
+  seed_centers(grid, PlaneView::of(lab), perturb_to_gradient_minimum, centers);
 }
 
 std::vector<CandidateList> build_candidate_map(const CenterGrid& grid) {
@@ -118,26 +131,13 @@ std::vector<CandidateList> build_candidate_map(const CenterGrid& grid) {
 }
 
 LabelImage initial_labels(const CenterGrid& grid) {
-  LabelImage labels;
-  initial_labels(grid, labels);
+  LabelImage labels(grid.width(), grid.height());
+  PlaneView view;
+  view.width = grid.width();
+  view.height = grid.height();
+  view.labels = labels.pixels().data();
+  fill_initial_labels(grid, view);
   return labels;
-}
-
-void initial_labels(const CenterGrid& grid, LabelImage& labels) {
-  const int w = grid.width();
-  if (labels.width() != w || labels.height() != grid.height())
-    labels = LabelImage(w, grid.height());
-  // Row 0 holds each column's cell index; since center_index(gx, gy) is
-  // gy*nx + gx, every other row is row 0 plus its cell row's offset. One
-  // cell_x division per column instead of one per pixel.
-  std::int32_t* const first = labels.pixels().data();
-  for (int x = 0; x < w; ++x) first[x] = grid.center_index(grid.cell_x(x), 0);
-  for (int y = 1; y < grid.height(); ++y) {
-    const std::int32_t offset = grid.center_index(0, grid.cell_y(y));
-    std::int32_t* const row =
-        first + static_cast<std::size_t>(y) * static_cast<std::size_t>(w);
-    for (int x = 0; x < w; ++x) row[x] = first[x] + offset;
-  }
 }
 
 }  // namespace sslic

@@ -58,16 +58,27 @@ class CenterGrid {
   double spacing_;
 };
 
+struct PlaneView;  // slic/iteration.h
+
 /// Initial cluster centers: grid positions with colors sampled from the Lab
-/// image; optionally perturbed to the 3x3 gradient minimum (paper Sec. 2).
+/// planes, optionally perturbed to the 3x3 gradient minimum (paper Sec. 2).
+/// The gradient is probed around each position (argmin_gradient_probe), so
+/// no image-sized gradient plane exists. Fills `centers` (resized to the
+/// grid's center count) and releases rows behind the walk through the
+/// view's hook.
+void seed_centers(const CenterGrid& grid, const PlaneView& planes,
+                  bool perturb_to_gradient_minimum,
+                  std::vector<ClusterCenter>& centers);
+
+/// The same over a LabImage.
 std::vector<ClusterCenter> seed_centers(const CenterGrid& grid,
                                         const LabImage& lab,
                                         bool perturb_to_gradient_minimum);
 
-/// In-place variant: fills `centers` (resized to the grid's center count)
-/// and uses `gradient_scratch` for the perturbation pass, so per-frame
-/// callers (CPA engine streams, TemporalSlic cold starts) re-seed without
-/// heap allocations once the buffers are warm.
+/// In-place variant over a LabImage: fills `centers` without heap
+/// allocations once it has the grid's size. `gradient_scratch` is unused:
+/// the probe seeding needs no gradient plane (the parameter stays for
+/// existing callers).
 void seed_centers(const CenterGrid& grid, const LabImage& lab,
                   bool perturb_to_gradient_minimum,
                   std::vector<ClusterCenter>& centers,
@@ -83,11 +94,7 @@ using CandidateList = std::array<std::int32_t, 9>;
 std::vector<CandidateList> build_candidate_map(const CenterGrid& grid);
 
 /// Initial label map: every pixel starts assigned to the center of its own
-/// grid cell (the accelerator initializes assignments before iterating).
+/// grid cell (fill_initial_labels in slic/iteration.h).
 LabelImage initial_labels(const CenterGrid& grid);
-
-/// In-place variant: fills `labels`, resizing only when the dimensions
-/// change (allocation-free at steady state).
-void initial_labels(const CenterGrid& grid, LabelImage& labels);
 
 }  // namespace sslic

@@ -17,7 +17,12 @@
 //     only (the paper's 2.25x = 9/4 ratio is exact only for distance ops).
 //
 // DRAM traffic (bytes), software-prototype convention (floating-point
-// buffers, as profiled on the CPU in the paper's Section 4.2):
+// buffers, as profiled on the CPU in the paper's Section 4.2). The
+// min-distance charges model the paper's Fig. 1b formulation, which keeps
+// a running-minimum buffer per pixel: the PPA kernel takes a fresh best of
+// 9 and keeps no such buffer, and full-SLIC CPA keeps its minima per
+// region, but the model charges the buffer traffic either way, so the
+// counts stay comparable with the paper's Table 2:
 //   * Lab pixel: 12 B (3 floats). Label: 4 B. Min-distance entry: 4 B.
 //     Static 9-nearest-center tile record: 18 B (9 u16 ids).
 //   * PPA per iteration: each visited pixel reads Lab (12) + its candidate
@@ -133,8 +138,10 @@ struct Instrumentation {
 
   /// Wall time per stage in milliseconds, in paper Table 1's taxonomy:
   /// sRGB->Lab conversion, seeding and buffer setup, assignment (distance +
-  /// min), sigma accumulation and center update (the fused CPA loop's
-  /// accumulation lands in update), and connectivity. Each is the sum of
+  /// min), sigma accumulation and center update, and connectivity. The
+  /// fused CPA loop's accumulation lands in assign: each band accumulates
+  /// before the cpa.assign stage ends, so its cpa.fused_accumulate stage
+  /// holds only the merge and the update. Each is the sum of
   /// the trace::Interval::complete() values that ended the stage, so a
   /// stage's spans sum to its field. Lab entry points leave convert_ms 0;
   /// the RGB entry points write it after the run resets the record.

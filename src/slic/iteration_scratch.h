@@ -1,15 +1,18 @@
-// Reusable per-run working state of the SLIC segmenters.
+// Reusable per-run working state of the SLIC iteration core
+// (slic/iteration.h).
 //
-// Every buffer a segmentation run needs — the min-distance plane, the
-// seeding gradient, per-band sigma pools, subset masks, connectivity run
-// records — lives here instead of on the stack of segment_lab(), so a
-// caller that keeps one IterationScratch across frames (TemporalSlic, the
-// video pipeline, the fused-iteration bench) pays the allocations once and
-// runs every later frame of the same geometry with zero heap allocations
-// (tests/test_fused.cpp asserts this with a counting operator new).
+// Every buffer a segmentation run needs — region edges, CPA center buckets
+// and band partials, the subsampled-CPA min-distance plane, PPA subset
+// masks, connectivity run records — lives here instead of on the stack of
+// segment_lab(), so a caller that keeps one IterationScratch across frames
+// (TemporalSlic, the engine's streams, the fused-iteration bench) pays the
+// allocations once and runs every later frame of the same geometry with
+// zero heap allocations (tests/test_fused.cpp asserts this for PPA with a
+// counting operator new). CPA's buckets and band partials are sized by
+// where the centers are, so they settle at their high-water mark instead.
 //
 // All sizing is idempotent: buffers are grown on first use per geometry and
-// merely re-filled afterwards (std::vector::assign and Image::fill do not
+// merely re-filled afterwards (std::vector::assign and resize do not
 // reallocate at an unchanged size). The scratch carries no results — the
 // labels/centers live in the caller's Segmentation — and one scratch can be
 // shared between CPA and PPA runs (unused fields stay empty).
@@ -38,55 +41,54 @@ struct ScanWindow {
   }
 };
 
-/// Integer tallies of one PPA assignment stripe, summed in ascending stripe
-/// order on the calling thread after the pool join.
-struct StripeTally {
-  std::uint64_t pixels_visited = 0;
-  std::uint64_t tiles_skipped = 0;   ///< preemptive: all 9 candidates frozen
-  std::uint64_t tiles_assigned = 0;  ///< tiles that fetched their candidates
-};
-
 /// Working buffers of one segmentation run; see the header comment.
 struct IterationScratch {
   // --- Shared by CPA and PPA ---
-  std::vector<double> min_dist;  ///< running minimum-distance plane
-  std::vector<Sigma> sigmas;     ///< merged sigma registers (K entries)
-  Image<float> gradient;         ///< center-perturbation pass (seed_centers)
+  std::vector<Sigma> sigmas;  ///< merged sigma registers (K entries)
+  /// Region grid edges: region (c, r) spans columns
+  /// [region_x[c], region_x[c+1]) and rows [region_y[r], region_y[r+1]).
+  std::vector<int> region_x;
+  std::vector<int> region_y;
   ConnectivityScratch connectivity;
 
-  // --- CPA (slic_baseline.cpp) ---
+  // --- CPA ---
+  std::vector<double> min_dist;      ///< subsampled CPA's persistent plane
   std::vector<std::uint8_t> active;  ///< per-center subset activity flags
   std::vector<ScanWindow> windows;   ///< clamped scan windows, K entries
-  /// Fused iteration: one sigma pool per row band, merged in ascending
-  /// band order after the band sweep (same reduction tree as the two-pass
-  /// parallel_reduce, so centers match it bit for bit).
-  std::vector<std::vector<Sigma>> band_sigmas;
+  /// Active centers per region, ascending (CSR: region r's centers are
+  /// bucket_centers[bucket_offsets[r] .. bucket_offsets[r+1])).
+  std::vector<std::size_t> bucket_offsets;
+  std::vector<std::int32_t> bucket_centers;
+  /// Full SLIC's running minima: one region-sized slice per pool slot.
+  std::vector<double> region_min_dist;
+  /// Reduction band edges (kReduceChunks bands, fixed by the height).
+  std::vector<int> band_y;
+  /// Per band: the center-index range [band_lo, band_hi] its labels can
+  /// hold, and where its sigma partial over that range starts in
+  /// band_partials (offset >= band_lo, so the partial rebased by -band_lo
+  /// stays inside the buffer).
+  std::vector<std::int32_t> band_lo;
+  std::vector<std::int32_t> band_hi;
+  std::vector<std::size_t> band_offset;
+  std::vector<Sigma> band_partials;
 
-  // --- PPA (subsampled.cpp) ---
+  // --- PPA ---
   /// Quantized Lab planes the row kernels read in place of the input
   /// (data widths below float only; a float run reads the input itself).
   LabImage stored;
-  /// Subset-mask rows: one image-wide slice per assignment stripe, so
-  /// stripes running on different threads never share a mask.
+  /// Subset-mask rows: one image-wide slice per region row, so regions
+  /// running on different threads never share a mask.
   std::vector<std::uint8_t> row_active;
-  std::vector<std::uint8_t> frozen;      ///< preemptive: converged centers
+  std::vector<std::uint8_t> frozen;  ///< preemptive: converged centers
   std::vector<std::uint8_t> calm_streak;
   std::vector<std::uint8_t> tile_skipped;
-  std::vector<StripeTally> stripe_tallies;       ///< one per stripe
-  std::vector<std::uint64_t> band_accumulated;   ///< pixels per sigma band
+  std::vector<std::uint64_t> region_visited;    ///< pixels per region
+  std::vector<std::uint64_t> band_accumulated;  ///< pixels per sigma band
   /// Static 9-candidate map, cached per (width, height, K) geometry.
   std::vector<CandidateList> candidates;
   int candidates_width = 0;
   int candidates_height = 0;
   int candidates_k = 0;
-
-  /// Sizes the per-band sigma pools (fused CPA path). The pools are
-  /// re-zeroed by the band bodies each iteration; this only shapes them.
-  void ensure_band_sigmas(std::size_t bands, std::size_t num_centers) {
-    if (band_sigmas.size() != bands) band_sigmas.resize(bands);
-    for (auto& pool : band_sigmas)
-      if (pool.size() != num_centers) pool.resize(num_centers);
-  }
 
   /// Rebuilds the candidate map only when the grid geometry changed.
   const std::vector<CandidateList>& candidate_map(const CenterGrid& grid) {

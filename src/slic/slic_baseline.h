@@ -38,8 +38,10 @@ class CpaSlic {
 
   /// Buffer-reusing variant: writes into `result` and draws every working
   /// buffer from `scratch`. Repeated calls at an unchanged geometry reuse
-  /// all prior allocations and run with zero heap allocations (seeding
-  /// included). Results are identical to segment_lab.
+  /// all prior allocations; once the center buckets and band partials,
+  /// sized by where the centers are, reach their high-water mark, a call
+  /// makes no heap allocation (seeding included). Results are identical
+  /// to segment_lab.
   void segment_lab_into(const LabImage& lab, Segmentation& result,
                         IterationScratch& scratch,
                         const IterationCallback& callback = {},

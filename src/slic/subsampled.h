@@ -20,33 +20,15 @@
 // "orthogonal, combinable" Preemptive SLIC idea).
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "color/color_convert.h"
-#include "slic/center_update.h"
 #include "slic/distance.h"
 #include "slic/instrumentation.h"
 #include "slic/iteration_scratch.h"
 #include "slic/types.h"
 
 namespace sslic {
-
-/// The PPA center update, shared by PpaSlic and TiledSegmenter so both
-/// produce the same centers from the same sigmas: every center with a
-/// non-empty sigma becomes its mean, stored at `dist`'s data width. With
-/// `params.preemptive`, a center freezes after two consecutive moves below
-/// `params.freeze_threshold` and thaws on any larger move (`calm_streak`
-/// and `frozen` carry that state across iterations). Charges 5 divides per
-/// updated center and one write-back per center to `instr`; returns the
-/// mean L1 (x, y) movement of the updated centers (0 when none).
-double update_ppa_centers(const std::vector<Sigma>& sigmas,
-                          const DistanceCalculator& dist,
-                          const SlicParams& params,
-                          std::vector<ClusterCenter>& centers,
-                          std::vector<std::uint8_t>& calm_streak,
-                          std::vector<std::uint8_t>& frozen,
-                          Instrumentation& instr);
 
 /// PPA S-SLIC segmenter (gSLIC-style full PPA when subsample_ratio == 1).
 class PpaSlic {

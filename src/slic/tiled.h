@@ -1,43 +1,30 @@
 // Out-of-core tiled segmentation driver (DESIGN.md §4h).
 //
 // `TiledSegmenter` decomposes an arbitrarily large input into rectangular
-// tiles, runs the existing iteration structure tile by tile over the
-// memory-mapped planes of a PlanarStore, and keeps the process RSS bounded
-// by the tile working set instead of the image: in spill mode every pass
-// releases the resident pages of the rows it has finished with
-// (PlanarStore::release_rows), so a gigapixel input segments inside a
-// few-hundred-megabyte budget (bench/tiled_streaming gates the bound).
+// tiles and runs the shared iteration core (slic/iteration.h) over the
+// memory-mapped planes of a PlanarStore, with the tile grid as the core's
+// assignment regions. The process RSS stays bounded by the tiles in flight
+// instead of the image: in spill mode every pass releases the resident
+// pages of the rows it has finished with (PlanarStore::release_rows), so a
+// gigapixel input segments inside a few-hundred-megabyte budget
+// (bench/tiled_streaming gates the bound).
 //
 // Identity contract: labels and centers are byte-identical to the
 // monolithic segmenters (CpaSlic / PpaSlic at float64 width) whenever both
-// can run. That holds by construction, not by luck:
+// can run, because both run the same core and the core's output does not
+// depend on its region grid (slic/iteration.h gives the argument). Centers
+// whose windows span several tiles are re-fetched per tile; that halo
+// traffic is the only cost of tiling and is tracked in
+// TiledStats::halo_bytes. Cross-tile label seams are resolved by the same
+// scan-order connectivity rules as the monolithic path, run by
+// enforce_connectivity_span over the raw label plane (a global relabel
+// table, never a second full-image materialization).
 //
-//   * Assignment is per-pixel independent given the iteration's center
-//     snapshot: each pixel takes the strict-< minimum over exactly the
-//     centers whose clamped windows (CPA) or 9-candidate lists (PPA) cover
-//     it, visited in ascending index order. Tiles partition the pixels, and
-//     each tile drains its covering centers in ascending order, so any
-//     rectangular tiling — including sizes that do not divide the image —
-//     reproduces the monolithic bytes. Centers whose windows span several
-//     tiles are re-fetched per tile; that halo traffic is the only cost of
-//     tiling and is tracked in TiledStats::halo_bytes.
-//   * Sigma reduction is NOT partition-invariant (floating-point sums), so
-//     the accumulation pass ignores the tile grid and replays the
-//     monolithic reduction exactly: CPA folds per-band partials over the
-//     fixed kReduceChunks row bands in ascending order; PPA accumulates in
-//     global row-major order. Boundary center state therefore never
-//     diverges between neighbouring tiles — every tile starts each
-//     iteration from the same globally-reduced center snapshot.
-//   * Seam reconciliation: cross-tile label seams are resolved by the same
-//     scan-order connectivity pass as the monolithic path, run by
-//     enforce_connectivity_span over the raw label plane (a global relabel
-//     table, never a second full-image materialization).
-//
-// The driver ignores SSLIC_FUSE: its pass structure is fixed (assignment
-// sweep + exact-order accumulation), and fusion is a bit-identical output
-// transform, so tiled output matches the monolithic path either way. Instrumentation uses the
-// two-pass accounting convention (instr.fused = false). The PPA path is
-// float64-only (the bit-width exploration stays on the in-memory path).
+// The driver ignores SSLIC_FUSE: tiles are not the reduction bands, so it
+// runs the two-pass schedule (instr.fused = false), and fusion is a
+// bit-identical output transform, so tiled output matches the monolithic
+// path either way. The PPA path is float64-only (the bit-width exploration
+// stays on the in-memory path).
 #pragma once
 
 #include <cstddef>
@@ -54,8 +41,9 @@ namespace sslic {
 
 /// Tiling and memory-policy knobs of one TiledSegmenter.
 struct TiledConfig {
-  /// Tile geometry in pixels; <= 0 derives a square-ish tile from
-  /// `memory_budget_bytes`. Honoured literally otherwise (the last row /
+  /// Tile geometry in pixels; <= 0 derives it from `memory_budget_bytes`
+  /// and the pool size (the tiles the pool holds in flight must fit).
+  /// Honoured literally otherwise (the last row /
   /// column of tiles keeps the remainder, down to a single pixel).
   int tile_width = 0;
   int tile_height = 0;
@@ -81,7 +69,6 @@ struct TiledStats {
   bool used_tiled_path = false;  ///< false = monolithic fallback ran
   int tiles_x = 0;
   int tiles_y = 0;
-  int bands = 0;                 ///< accumulation row bands (CPA)
   /// Center/candidate state re-fetched by tiles beyond the first one a
   /// window spans, summed over iterations — the halo-exchange traffic.
   std::uint64_t halo_bytes = 0;

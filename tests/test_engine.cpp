@@ -741,6 +741,28 @@ TEST(StreamEngine, WideEventStagesSumToEndToEndLatency) {
   engine.close_stream(cpa_id);
 }
 
+// drain() returns only after every completed frame's wide event is in the
+// frame log, also for a stream without a completion callback: the scheduler
+// records a batch's events after it has already released the streams, so a
+// drain that waited on the queues alone could return one event short.
+TEST(StreamEngine, DrainWaitsForCallbacklessStreamsWideEvents) {
+  const std::vector<RgbImage> frames = synthetic_frames(2, 48, 36, 430);
+  StreamEngine engine;
+  StreamOptions opts;
+  opts.params = small_params(12, 2);
+  opts.algorithm = engine::StreamAlgorithm::kCpa;
+  opts.temporal_warm = false;
+  const StreamId id = engine.open_stream(opts);
+  for (int repeat = 0; repeat < 1000; ++repeat) {
+    ops::framez_reset();
+    for (const RgbImage& frame : frames) (void)engine.submit(id, frame);
+    engine.drain();
+    ASSERT_EQ(ops::recent_frame_events().size(), frames.size())
+        << "repeat " << repeat;
+  }
+  engine.close_stream(id);
+}
+
 // A stream with a latency SLO the engine cannot possibly meet must burn its
 // error budget (burn rate > 1, /healthz "degraded") without ever tripping
 // the liveness watchdog — degradation is not a liveness failure.

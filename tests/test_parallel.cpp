@@ -10,6 +10,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -58,6 +59,34 @@ TEST(ThreadPool, BackToBackTinyJobsTolerateLateWakers) {
     });
     ASSERT_EQ(total.load(), 2) << "job " << job;
   }
+}
+
+TEST(ThreadPool, CurrentSlotIsExclusiveWithinAJob) {
+  // Chunks of one job that run at the same time report different slots,
+  // all below the thread count, so a job can index per-thread scratch by
+  // them: claiming a slot must never find it already claimed.
+  for (const int threads : {2, 4, 8}) {
+    ThreadPool pool(threads);
+    std::vector<std::atomic<int>> busy(static_cast<std::size_t>(threads));
+    std::atomic<int> collisions{0};
+    std::atomic<int> out_of_range{0};
+    for (int job = 0; job < 50; ++job) {
+      pool.run_chunks(64, [&](std::size_t) {
+        const std::size_t slot = ThreadPool::current_slot();
+        if (slot >= busy.size()) {
+          out_of_range.fetch_add(1, std::memory_order_relaxed);
+          return;
+        }
+        if (busy[slot].exchange(1, std::memory_order_acq_rel) != 0)
+          collisions.fetch_add(1, std::memory_order_relaxed);
+        std::this_thread::yield();  // widen the window for an overlap
+        busy[slot].store(0, std::memory_order_release);
+      });
+    }
+    EXPECT_EQ(out_of_range.load(), 0) << "threads " << threads;
+    EXPECT_EQ(collisions.load(), 0) << "threads " << threads;
+  }
+  EXPECT_EQ(ThreadPool::current_slot(), 0u);
 }
 
 TEST(ThreadPool, EmptyJobIsANoOp) {

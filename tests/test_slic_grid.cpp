@@ -5,14 +5,18 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <set>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "color/color_convert.h"
 #include "common/check.h"
+#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "dataset/synthetic.h"
+#include "image/gradient.h"
 #include "slic/connectivity.h"
 #include "slic/grid.h"
 #include "slic/slic_baseline.h"
@@ -122,6 +126,71 @@ TEST(SeedCenters, PerturbationMovesOffEdges) {
   // Gradient is zero two columns away from the edge but large at cx-1..cx.
   EXPECT_NE(static_cast<int>(centers[0].x), cx);
   EXPECT_NE(static_cast<int>(centers[0].x), cx - 1);
+}
+
+// The probe seeding evaluates the gradient only at the 3x3 pixels it
+// compares; it must pick exactly the centers the full-plane reference
+// (lab_gradient_magnitude + argmin_gradient_3x3) picks, down to the byte,
+// including degenerate 2-pixel edges and tie-breaks on flat content.
+TEST(SeedCenters, ProbeMatchesFullPlaneOracle) {
+  const auto oracle = [](const CenterGrid& grid, const LabImage& lab) {
+    const Image<float> gradient = lab_gradient_magnitude(lab);
+    std::vector<ClusterCenter> centers(
+        static_cast<std::size_t>(grid.num_centers()));
+    for (int gy = 0; gy < grid.ny(); ++gy) {
+      for (int gx = 0; gx < grid.nx(); ++gx) {
+        const int px = std::clamp(static_cast<int>(grid.center_pos_x(gx)), 0,
+                                  grid.width() - 1);
+        const int py = std::clamp(static_cast<int>(grid.center_pos_y(gy)), 0,
+                                  grid.height() - 1);
+        const Point p = argmin_gradient_3x3(gradient, px, py);
+        const LabF color = lab(p.x, p.y);
+        centers[static_cast<std::size_t>(grid.center_index(gx, gy))] = {
+            static_cast<double>(color.L), static_cast<double>(color.a),
+            static_cast<double>(color.b), static_cast<double>(p.x),
+            static_cast<double>(p.y)};
+      }
+    }
+    return centers;
+  };
+  Rng rng(0x5eed);
+  const auto random_lab = [&](int w, int h, bool coarse) {
+    LabImage lab(w, h);
+    for (int y = 0; y < h; ++y) {
+      for (int x = 0; x < w; ++x) {
+        // Coarse content makes many gradients tie exactly.
+        const auto value = [&](double lo, double hi) {
+          return coarse ? static_cast<float>(rng.next_int(0, 3))
+                        : static_cast<float>(rng.next_double(lo, hi));
+        };
+        lab.set(x, y, {value(0.0, 100.0), value(-80.0, 80.0),
+                       value(-80.0, 80.0)});
+      }
+    }
+    return lab;
+  };
+  struct Case {
+    int w, h;
+  };
+  for (const Case c : {Case{2, 2}, Case{2, 9}, Case{9, 2}, Case{3, 3},
+                       Case{4, 4}, Case{160, 120}}) {
+    std::vector<LabImage> images{random_lab(c.w, c.h, false),
+                                 random_lab(c.w, c.h, true)};
+    if (c.w == 160)
+      images.push_back(srgb_to_lab(generate_synthetic({160, 120}, 83).image));
+    for (const LabImage& lab : images) {
+      for (const int k : {1, 2, 4, 7, 80, 300}) {
+        const CenterGrid grid(c.w, c.h, k);
+        const std::vector<ClusterCenter> want = oracle(grid, lab);
+        const std::vector<ClusterCenter> got =
+            seed_centers(grid, lab, /*perturb=*/true);
+        ASSERT_EQ(got.size(), want.size());
+        EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                                 want.size() * sizeof(ClusterCenter)))
+            << c.w << "x" << c.h << " K=" << k;
+      }
+    }
+  }
 }
 
 TEST(SeedCenters, PerturbationBoundedTo3x3) {

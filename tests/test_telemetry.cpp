@@ -632,10 +632,10 @@ TEST(Trace, StageSpansMatchInstrumentation) {
        "ppa.assign", "ppa.update", "ppa.connectivity"},
       {"TemporalSlic, two frames", Entry::kTemporal, true, true, "ppa.init",
        "ppa.assign", "ppa.update", "ppa.connectivity"},
-      {"tiled CPA", Entry::kTiled, false, true, "tiled.init", "tiled.assign",
-       "tiled.update", "tiled.connectivity"},
-      {"tiled PPA(0.5)", Entry::kTiled, true, true, "tiled.init",
-       "tiled.assign", "tiled.update", "tiled.connectivity"},
+      {"tiled CPA", Entry::kTiled, false, true, "cpa.init", "cpa.assign",
+       "cpa.update", "tiled.connectivity"},
+      {"tiled PPA(0.5)", Entry::kTiled, true, true, "ppa.init",
+       "ppa.assign", "ppa.update", "tiled.connectivity"},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.label);

@@ -230,21 +230,53 @@ TEST(TiledIdentity, SpillToDiskMatchesInMemory) {
 }
 
 TEST(TiledIdentity, DegenerateTinyImages) {
-  // 2-pixel edges route the seeding through the materialized fallback;
-  // the tiled path must still match the monolithic output exactly.
+  // 2-pixel edges: the seeding probe clamps its 3x3 window at both borders
+  // at once; both algorithms must still match the monolithic output
+  // exactly.
   for (const auto& [w, h] : {std::pair{2, 2}, {2, 9}, {9, 2}, {3, 3}}) {
     LabImage lab(w, h);
     for (int y = 0; y < h; ++y)
       for (int x = 0; x < w; ++x)
         lab.set(x, y, LabF{static_cast<float>(10 * x + y),
                            static_cast<float>(x - y), static_cast<float>(x * y)});
-    Variant v{"tiny", Algorithm::kSslicCpa, {}};
-    v.params.num_superpixels = 2;
-    v.params.max_iterations = 3;
-    const Segmentation mono = run_monolithic(v, lab);
-    const Segmentation tiled = run_tiled(v, lab, 1, 1);
-    expect_identical(tiled, mono,
-                     "tiny " + std::to_string(w) + "x" + std::to_string(h));
+    for (const Algorithm algorithm :
+         {Algorithm::kSslicCpa, Algorithm::kSslicPpa}) {
+      Variant v{"tiny", algorithm, {}};
+      v.params.num_superpixels = 2;
+      v.params.max_iterations = 3;
+      const Segmentation mono = run_monolithic(v, lab);
+      const Segmentation tiled = run_tiled(v, lab, 1, 1);
+      const std::string name =
+          algorithm == Algorithm::kSslicPpa ? "ppa" : "cpa";
+      expect_identical(tiled, mono,
+                       name + " tiny " + std::to_string(w) + "x" +
+                           std::to_string(h));
+    }
+  }
+}
+
+TEST(TiledInstrumentation, ConnectivitySignalsAndIterationsMatchMonolithic) {
+  // The tiled driver runs its own connectivity pass (the flood fill over
+  // the label plane); the signals it reports must be the monolithic run's.
+  const GroundTruthImage gt = generate_synthetic({160, 120}, 71);
+  const LabImage lab = srgb_to_lab(gt.image);
+  for (const Variant& v : variants()) {
+    Instrumentation mono;
+    if (v.algorithm == Algorithm::kSslicPpa) {
+      (void)PpaSlic(v.params).segment_lab(lab, {}, &mono);
+    } else {
+      (void)CpaSlic(v.params).segment_lab(lab, {}, &mono);
+    }
+    TiledConfig config;
+    config.tile_width = 57;
+    config.tile_height = 41;
+    config.force_tiled = true;
+    Instrumentation tiled;
+    (void)TiledSegmenter(v.algorithm, v.params, config).segment_lab(lab, &tiled);
+    EXPECT_GT(mono.final_label_count, 0u) << v.name;
+    EXPECT_EQ(tiled.final_label_count, mono.final_label_count) << v.name;
+    EXPECT_EQ(tiled.pixels_relabelled, mono.pixels_relabelled) << v.name;
+    EXPECT_EQ(tiled.iterations, mono.iterations) << v.name;
   }
 }
 
