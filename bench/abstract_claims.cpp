@@ -11,7 +11,6 @@
 #include "hw/dse.h"
 #include "hw/gpu_reference.h"
 #include "slic/connectivity.h"
-#include "slic/fusion.h"
 #include "slic/slic_baseline.h"
 #include "slic/subsampled.h"
 
@@ -31,10 +30,6 @@ struct Claim {
 int main(int argc, char** argv) {
   using namespace sslic::hw;
   bench::BenchConfig config = bench::BenchConfig::parse(argc, argv);
-  // Paper-model scoreboard: keep the classic two-pass accounting the
-  // paper's numbers are stated in (fused mode drops the update pass's
-  // redundant image/label reads from CPA traffic).
-  set_fusion(false);
   if (!CliArgs(argc, argv).has("images")) config.images = 6;
   bench::banner("Reproduction scoreboard — the paper's headline claims", config);
 

@@ -333,9 +333,9 @@ inline Json machine_json() {
 ///   "gate": {
 ///     "schema_version": 1,
 ///     "metrics": {
-///       "fused_ms_per_image": {
-///         "value": 12.3, "unit": "ms",
-///         "direction": "lower_is_better", "tolerance": 0.10
+///       "serial_ms_per_frame": {
+///         "value": 118.6, "unit": "ms",
+///         "direction": "lower_is_better", "tolerance": 0.25
 ///       }, ...
 ///     }
 ///   }
@@ -387,26 +387,6 @@ class GateMetrics {
 
   std::vector<Entry> entries_;
 };
-
-/// Per-phase roofline summary rows shared by the benches: analytic
-/// arithmetic intensity, op and byte counts. `elapsed_ms` is the wall time
-/// the analytic bytes/ops were accumulated over, so achieved GB/s and GOP/s
-/// can be derived.
-inline Json roofline_json(double analytic_ops, double analytic_bytes,
-                          double elapsed_ms) {
-  const double seconds = elapsed_ms / 1e3;
-  Json row = Json::object();
-  row.set("analytic_ops", analytic_ops)
-      .set("analytic_bytes", analytic_bytes)
-      .set("arithmetic_intensity_ops_per_byte",
-           analytic_bytes > 0.0 ? analytic_ops / analytic_bytes : 0.0)
-      .set("elapsed_ms", elapsed_ms)
-      .set("analytic_gops_per_s",
-           seconds > 0.0 ? analytic_ops / seconds / 1e9 : 0.0)
-      .set("analytic_gb_per_s",
-           seconds > 0.0 ? analytic_bytes / seconds / 1e9 : 0.0);
-  return row;
-}
 
 /// Quality metrics of one segmentation against ground truth.
 struct Quality {

@@ -14,7 +14,6 @@
 #include "bench_common.h"
 #include "slic/connectivity.h"
 #include "slic/instrumentation.h"
-#include "slic/fusion.h"
 #include "slic/slic_baseline.h"
 #include "slic/subsampled.h"
 
@@ -93,9 +92,6 @@ double time_to_reach(const Variant& v, double target, bool smaller_is_better) {
 
 int main(int argc, char** argv) {
   bench::BenchConfig config = bench::BenchConfig::parse(argc, argv);
-  // Traffic columns use the paper's two-pass accounting; pin fusion off
-  // so the CPA/PPA traffic ratios stay comparable to Table 2.
-  set_fusion(false);
   bench::banner("Fig. 2 — quality vs runtime: SLIC vs S-SLIC (CPU)", config);
   std::cout << "annotators per image: " << config.annotators
             << " (use --annotators=4 for BSDS-like human-disagreement "

@@ -8,18 +8,12 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "slic/fusion.h"
 #include "slic/slic_baseline.h"
 #include "slic/subsampled.h"
 
 int main(int argc, char** argv) {
   using namespace sslic;
   bench::BenchConfig config = bench::BenchConfig::parse(argc, argv);
-  // Paper-model table: the paper profiled the classic two-pass loop, where
-  // sigma accumulation is a separate center-update phase. The fused loop
-  // moves that work into the assignment phase and would skew the per-phase
-  // percentages; pin it off (bench/fused_iteration measures the fused win).
-  set_fusion(false);
   bench::banner("Table 1 — time breakdown of SLIC and S-SLIC (CPU)", config);
 
   const SyntheticCorpus corpus(config.dataset_params(), config.images,

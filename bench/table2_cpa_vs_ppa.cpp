@@ -6,17 +6,12 @@
 
 #include "bench_common.h"
 #include "hw/energy_model.h"
-#include "slic/fusion.h"
 #include "slic/slic_baseline.h"
 #include "slic/subsampled.h"
 
 int main(int argc, char** argv) {
   using namespace sslic;
   bench::BenchConfig config = bench::BenchConfig::parse(argc, argv);
-  // Paper-model table: Table 2's 318 MB CPA figure counts the two-pass
-  // update loop's image+label re-reads; the fused loop eliminates them
-  // (measured in bench/fused_iteration). Pin the classic accounting.
-  set_fusion(false);
   config.width = 1920;
   config.height = 1080;
   config.superpixels = 5000;

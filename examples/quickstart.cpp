@@ -5,9 +5,9 @@
 //              [--ratio=0.5] [--iterations=20] [--algorithm=ppa|cpa|slic|hw]
 //              [--tile=WxH|auto] [--out=prefix]
 //
-// `--tile` (or the SSLIC_TILE environment variable) routes the software
-// algorithms through the out-of-core tiled driver — same labels, bounded
-// memory — and prints the tile geometry and halo traffic.
+// `--tile` routes the software algorithms through the out-of-core tiled
+// driver — same labels, bounded memory — and prints the tile geometry and
+// halo traffic.
 //
 // Without an input file a synthetic Berkeley-like test image is generated
 // (with ground truth, so quality metrics are printed too).
@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
   params.subsample_ratio = args.get_double("ratio", 0.5);
   params.max_iterations = args.get_int("iterations", 20);
 
-  // --tile beats SSLIC_TILE; a bad flag value warns once and is ignored.
+  // A bad --tile value warns once and is ignored.
   TiledConfig tile_config;
   bool tiled_requested = false;
   const std::string tile_flag = args.get_string("tile", "");
@@ -68,8 +68,6 @@ int main(int argc, char** argv) {
       SSLIC_WARN("unparsable --tile value \"" << tile_flag
                  << "\"; expected WxH (e.g. 512x256) or auto — ignoring");
     }
-  } else {
-    tiled_requested = tile_config_from_env(&tile_config);
   }
 
   const std::string algorithm = args.get_string("algorithm", "ppa");

@@ -30,16 +30,16 @@
 //
 //   video_pipeline [--frames=10] [--width=640 --height=480]
 //                  [--superpixels=1200] [--ratio=0.5] [--threads=N]
-//                  [--trace=out.json] [--metrics=out.json] [--no-fuse]
+//                  [--trace=out.json] [--metrics=out.json]
 //                  [--monitor=out.jsonl] [--monitor-every=20]
 //                  [--prom=out.prom] [--tile=WxH|auto]
 //                  [--ops-port=N] [--ops-deadline-s=30]
 //                  [--crash-dump=crash.json]
 //
-// `--tile` (or SSLIC_TILE) additionally runs frame 0 through the
-// out-of-core tiled driver before the pipeline loop and verifies its
-// labels and centers are byte-identical to the monolithic cold-start
-// segmentation — the DESIGN.md §4h identity contract, checked in situ.
+// `--tile` additionally runs frame 0 through the out-of-core tiled driver
+// before the pipeline loop and verifies its labels and centers are
+// byte-identical to the monolithic cold-start segmentation — the DESIGN.md
+// §4h identity contract, checked in situ.
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -74,7 +74,6 @@
 #include "image/io.h"
 #include "metrics/segmentation_metrics.h"
 #include "slic/assign_kernels.h"
-#include "slic/fusion.h"
 #include "slic/hw_datapath.h"
 #include "slic/slic_baseline.h"
 #include "slic/subsampled.h"
@@ -223,9 +222,7 @@ int main(int argc, char** argv) {
               << "' (expected scalar|sse2|avx2|avx512|neon)\n";
     return 2;
   }
-  if (args.has("no-fuse")) set_fusion(false);
-  // --tile beats SSLIC_TILE; a bad flag value warns once and is ignored
-  // (tile_config_from_env applies the same policy to a bad env value).
+  // A bad --tile value warns once and is ignored.
   TiledConfig tile_config;
   bool tiled_requested = false;
   const std::string tile_flag = args.get_string("tile", "");
@@ -237,8 +234,6 @@ int main(int argc, char** argv) {
       SSLIC_WARN("unparsable --tile value \"" << tile_flag
                  << "\"; expected WxH (e.g. 512x256) or auto — ignoring");
     }
-  } else {
-    tiled_requested = tile_config_from_env(&tile_config);
   }
   const std::string trace_path = args.get_string("trace", "");
   const std::string metrics_path = args.get_string("metrics", "");
@@ -295,9 +290,7 @@ int main(int argc, char** argv) {
             << frames << " frames, K=" << superpixels << ", S-SLIC(" << ratio
             << ") golden model, " << ThreadPool::global().threads()
             << " thread(s), simd="
-            << sslic::simd::isa_name(sslic::kernels::active_isa())
-            << ", fused iteration " << (fusion_enabled() ? "on" : "off")
-            << "\n\n";
+            << sslic::simd::isa_name(sslic::kernels::active_isa()) << "\n\n";
 
   HwConfig config;
   config.num_superpixels = superpixels;

@@ -133,9 +133,7 @@ void append_frame_event_json(std::string& out, const WideFrameEvent& e) {
   out += "}, \"iterations\": " + std::to_string(e.iterations);
   out += ", \"isa\": \"";
   append_escaped(out, e.isa != nullptr ? e.isa : "");
-  out += "\", \"fused\": ";
-  out += e.fused ? "true" : "false";
-  out += ", \"warm\": ";
+  out += "\", \"warm\": ";
   out += e.warm ? "true" : "false";
   out += ", \"batch_frames\": " + std::to_string(e.batch_frames);
   out += ", \"final_labels\": " + std::to_string(e.final_labels);

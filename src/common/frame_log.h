@@ -59,7 +59,6 @@ struct WideFrameEvent {
   // Segment-stage detail:
   std::uint32_t iterations = 0;
   const char* isa = "";         ///< SIMD backend that ran (static storage)
-  bool fused = false;
   bool warm = false;            ///< warm-started from the previous frame
   std::uint32_t batch_frames = 0;  ///< frames dispatched in the same batch
 

@@ -16,8 +16,8 @@
 //             compiled backends), flight recorder and crash handler state,
 //             plus pluggable sections registered by other layers
 //             (register_statusz_section) without src/common depending on
-//             them: src/slic's "slic" (fusion, the kernel ISA that runs,
-//             pool threads) and src/engine's "engine" (per-engine stream,
+//             them: src/slic's "slic" (the kernel ISA that runs, pool
+//             threads) and src/engine's "engine" (per-engine stream,
 //             queue, batch, frame, shed and drop counts and limits).
 //   /tracez   The flight recorder's retained spans as Chrome trace-event
 //             JSON (open in Perfetto to see the last seconds of work).

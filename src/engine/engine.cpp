@@ -478,7 +478,6 @@ void StreamEngine::scheduler_loop() {
       draft.event.iterations =
           static_cast<std::uint32_t>(stream.instr.iterations);
       draft.event.isa = isa;
-      draft.event.fused = stream.instr.fused;
       draft.event.warm = stream.instr.warm;
       draft.event.batch_frames = batch_frames;
       draft.event.final_labels =

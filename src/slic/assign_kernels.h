@@ -10,7 +10,7 @@
 //                             tile row, with the round-robin subset mask.
 //   * assign_candidates_row_u8  The 8-bit integer datapath variant of the
 //                             same (HwSlic golden model).
-//   * accumulate_row          Fused-iteration sigma accumulation: scatters
+//   * accumulate_row          Center-update sigma accumulation: scatters
 //                             one row's Lab/x/y contributions into the
 //                             per-label sigma registers (the software
 //                             analogue of the accelerator's tile-resident
@@ -103,7 +103,7 @@ struct KernelTable {
                                    const std::uint8_t* active,
                                    std::int32_t* labels);
 
-  /// Fused-iteration sigma scatter: for i in [0, count), adds pixel
+  /// Center-update sigma scatter: for i in [0, count), adds pixel
   /// (x0+i, y)'s Lab color and coordinates into sigmas[labels[i]] in the
   /// exact field order of Sigma::add (L, a, b, x, y, count). Vector
   /// backends widen `kLanesF64` floats at a time but always scatter in

@@ -242,7 +242,7 @@ void assign_candidates_row_u8_impl(
   }
 }
 
-// Fused-iteration sigma accumulation, bit-equal to the reference per-pixel
+// Center-update sigma accumulation, bit-equal to the reference per-pixel
 // loop (for each pixel, in ascending order: s.L += L; s.a += a; s.b += b;
 // s.x += x; s.y += y; s.count += 1). Two reorderings make it fast, neither
 // of which can change a single bit:

@@ -46,15 +46,6 @@ struct Sigma {
   void clear() { *this = Sigma{}; }
 };
 
-/// Folds one partial sigma pool into the running totals, element-wise in
-/// ascending center order. Both pools must have the same size. Shared by
-/// the CPA two-pass reduction and the fused band merge — one definition,
-/// one operation order, bit-identical centers either way.
-inline void merge_sigmas(std::vector<Sigma>& into,
-                         const std::vector<Sigma>& from) {
-  for (std::size_t i = 0; i < into.size(); ++i) into[i] += from[i];
-}
-
 /// Recomputes `centers[i]` from `sigmas[i]` for every i with
 /// `active[i] && sigmas[i].count > 0`; pass an empty `active` to update all.
 /// Returns the mean L1 (x, y) movement of the centers actually updated

@@ -186,8 +186,8 @@ Segmentation HwSlic::segment(const RgbImage& image, HwRunStats* stats) const {
               config_.distance_register_bits, dist_shift, mask,
               labels_ptr + off);
 
-          // Cluster-update accumulation from the freshly written labels —
-          // same x-ascending order and integer sums as the fused loop.
+          // Cluster-update accumulation from the freshly written labels, in
+          // x-ascending order with integer sums, as the datapath does it.
           for (int x = x0; x < x1; ++x) {
             if (mask != nullptr &&
                 row_active[static_cast<std::size_t>(x - x0)] == 0) {

@@ -37,7 +37,7 @@
 //     distance-buffer reset.
 // The conventions are deliberately explicit so the Table-2 bench can print
 // measured traffic next to the paper's 100/318 MB per iteration; the
-// measured CPA value (~250 MB) undercuts the paper's 318 MB — the paper
+// measured CPA value (~240 MB) undercuts the paper's 318 MB — the paper
 // profiled real cache-miss traffic, which overfetches — but the ordering
 // and the "several-fold more than PPA" conclusion reproduce.
 #pragma once
@@ -118,14 +118,6 @@ struct Instrumentation {
   MemTraffic traffic;
   std::uint64_t iterations = 0;
   std::uint64_t tiles_skipped = 0;  ///< preemptive extension: tiles skipped
-  /// True when a CpaSlic run used the fused single-pass iteration loop
-  /// (PpaSlic and TiledSegmenter have one schedule and report false). Fused
-  /// measured-software accounting drops the old update pass's redundant
-  /// image_read/label_read (the data is already resident from assignment);
-  /// every other counter is identical to the two-pass accounting. The
-  /// paper-model tables (Table 1/2, abstract claims) pin fusion off so
-  /// their analytic numbers keep the paper's unfused convention.
-  bool fused = false;
   /// True when the run started from the caller's centers (PpaSlic's
   /// temporal warm start) instead of grid seeding.
   bool warm = false;
@@ -138,13 +130,11 @@ struct Instrumentation {
 
   /// Wall time per stage in milliseconds, in paper Table 1's taxonomy:
   /// sRGB->Lab conversion, seeding and buffer setup, assignment (distance +
-  /// min), sigma accumulation and center update, and connectivity. The
-  /// fused CPA loop's accumulation lands in assign: each band accumulates
-  /// before the cpa.assign stage ends, so its cpa.fused_accumulate stage
-  /// holds only the merge and the update. Each is the sum of
-  /// the trace::Interval::complete() values that ended the stage, so a
-  /// stage's spans sum to its field. Lab entry points leave convert_ms 0;
-  /// the RGB entry points write it after the run resets the record.
+  /// min), sigma accumulation and center update, and connectivity. Each is
+  /// the sum of the trace::Interval::complete() values that ended the
+  /// stage, so a stage's spans sum to its field. Lab entry points leave
+  /// convert_ms 0; the RGB entry points write it after the run resets the
+  /// record.
   double convert_ms = 0.0;
   double init_ms = 0.0;
   double assign_ms = 0.0;

@@ -213,10 +213,9 @@ void fill_initial_labels(const CenterGrid& grid, const PlaneView& planes) {
 }
 
 void run_cpa(const PlaneView& planes, const RegionGrid& regions,
-             const SlicParams& params, bool fused,
-             trace::Interval& init_stage, Segmentation& result,
-             IterationScratch& scratch, Instrumentation& instr,
-             const IterationCallback& callback) {
+             const SlicParams& params, trace::Interval& init_stage,
+             Segmentation& result, IterationScratch& scratch,
+             Instrumentation& instr, const IterationCallback& callback) {
   const int w = planes.width;
   const int h = planes.height;
   const std::size_t n = static_cast<std::size_t>(w) * static_cast<std::size_t>(h);
@@ -228,7 +227,6 @@ void run_cpa(const PlaneView& planes, const RegionGrid& regions,
   const bool subsampled = schedule.count() > 1;
   const auto num_centers = static_cast<std::size_t>(grid.num_centers());
   SSLIC_CHECK(subsampled == (planes.min_dist != nullptr));
-  SSLIC_CHECK(!fused || regions.tile_width <= 0);
 
   seed_centers(grid, planes, params.perturb_centers, result.centers);
   fill_initial_labels(grid, planes);
@@ -430,8 +428,6 @@ void run_cpa(const PlaneView& planes, const RegionGrid& regions,
     // in ascending index order, so labels (including tie-breaks, which
     // favour the lower index) are identical for every region grid and
     // thread count. No locks or atomics are needed on the pixel arrays.
-    // The fused sweep accumulates each band right after assigning it, while
-    // its rows are still warm in cache.
     countdown.reset();
     const auto assign_region = [&](std::size_t region) {
       const std::size_t row = region / rg.cols();
@@ -471,22 +467,17 @@ void run_cpa(const PlaneView& planes, const RegionGrid& regions,
                                spatial_weight, md, planes.labels + off);
         }
       }
-      if (fused) accumulate_band(region);
       countdown.region_done(row);
     };
     phases.run(rg.count(), assign_region);
     const double assign_ms = iter_stages.complete("cpa.assign", iter);
     instr.assign_ms += assign_ms;
 
-    // --- Center update: accumulate (two-pass), merge, then divide. ---
-    if (!fused) {
-      phases.run(bands, accumulate_band);
-      // Two-pass accounting: the standalone sigma pass re-reads the whole
-      // image and label plane from DRAM. The fused sweep inherits both
-      // streams from the assignment pass, so it drops these two charges.
-      instr.traffic.image_read += n * MemTraffic::kLabBytes;
-      instr.traffic.label_read += n * MemTraffic::kLabelBytes;
-    }
+    // --- Center update: accumulate the bands, merge, then divide. ---
+    // The accumulation pass re-reads the whole image and label plane.
+    phases.run(bands, accumulate_band);
+    instr.traffic.image_read += n * MemTraffic::kLabBytes;
+    instr.traffic.label_read += n * MemTraffic::kLabelBytes;
     // Fold the partials in ascending band order. Every partial entry starts
     // at +0.0, and a round-to-nearest sum seeded with +0.0 is never -0.0,
     // so an entry outside a band's range would add exactly +0.0 and leave
@@ -508,8 +499,7 @@ void run_cpa(const PlaneView& planes, const RegionGrid& regions,
                                                       : std::vector<std::uint8_t>{},
                                            &instr.ops);
     instr.traffic.center_write += num_centers * MemTraffic::kCenterBytes;
-    const double update_ms =
-        iter_stages.complete(fused ? "cpa.fused_accumulate" : "cpa.update", iter);
+    const double update_ms = iter_stages.complete("cpa.update", iter);
     instr.update_ms += update_ms;
 
     instr.iterations += 1;

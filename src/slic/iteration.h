@@ -102,13 +102,12 @@ void fill_initial_labels(const CenterGrid& grid, const PlaneView& planes);
 /// below) up to connectivity: seeding, the initial labels, the subsampled
 /// min-distance seed, then the iterations. `init_stage` is the stage clock
 /// the caller started; its span "cpa.init" ends once the buffers are set
-/// up. `fused` selects the single band sweep (assignment and accumulation
-/// per band); it needs the resident bands as regions.
+/// up. Each iteration is two pool phases: the regions' assignment, then
+/// the bands' sigma accumulation.
 void run_cpa(const PlaneView& planes, const RegionGrid& regions,
-             const SlicParams& params, bool fused,
-             trace::Interval& init_stage, Segmentation& result,
-             IterationScratch& scratch, Instrumentation& instr,
-             const IterationCallback& callback = {});
+             const SlicParams& params, trace::Interval& init_stage,
+             Segmentation& result, IterationScratch& scratch,
+             Instrumentation& instr, const IterationCallback& callback = {});
 
 /// Runs a PPA segmentation up to connectivity: seeding (or the warm start
 /// from `warm_centers`, clamped into the image), the initial labels, then

@@ -5,7 +5,7 @@
 // and band partials, the subsampled-CPA min-distance plane, PPA subset
 // masks, connectivity run records — lives here instead of on the stack of
 // segment_lab(), so a caller that keeps one IterationScratch across frames
-// (TemporalSlic, the engine's streams, the fused-iteration bench) pays the
+// (TemporalSlic, the engine's streams, video_pipeline) pays the
 // allocations once and runs every later frame of the same geometry with
 // zero heap allocations (tests/test_fused.cpp asserts this for PPA with a
 // counting operator new). CPA's buckets and band partials are sized by

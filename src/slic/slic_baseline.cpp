@@ -3,7 +3,6 @@
 #include "common/check.h"
 #include "common/trace.h"
 #include "slic/connectivity.h"
-#include "slic/fusion.h"
 #include "slic/iteration.h"
 #include "slic/subset_schedule.h"
 
@@ -47,8 +46,6 @@ void CpaSlic::segment_lab_into(const LabImage& lab, Segmentation& result,
   Instrumentation local_instr;
   Instrumentation& instr = instrumentation != nullptr ? *instrumentation : local_instr;
   instr = Instrumentation{};
-  const bool fused = fusion_enabled();
-  instr.fused = fused;
 
   // One clock per stage: each Interval::complete() ends a stage, records
   // its span and adds the same measurement to the stage's field.
@@ -64,8 +61,7 @@ void CpaSlic::segment_lab_into(const LabImage& lab, Segmentation& result,
     min_dist = scratch.min_dist.data();
   }
   run_cpa(PlaneView::of(lab, result.labels.pixels().data(), min_dist),
-          RegionGrid{}, params_, fused, init_stage, result, scratch, instr,
-          callback);
+          RegionGrid{}, params_, init_stage, result, scratch, instr, callback);
 
   if (params_.enforce_connectivity) {
     trace::Interval connectivity_stage;

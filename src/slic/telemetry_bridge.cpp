@@ -6,15 +6,12 @@
 #include "common/simd.h"
 #include "common/thread_pool.h"
 #include "slic/assign_kernels.h"
-#include "slic/fusion.h"
 
 namespace sslic::telemetry {
 
 void register_slic_statusz() {
   ops::register_statusz_section("slic", [] {
-    std::string body = "{\"fusion\": ";
-    body += fusion_enabled() ? "true" : "false";
-    body += ", \"kernel_isa\": \"";
+    std::string body = "{\"kernel_isa\": \"";
     body += simd::isa_name(kernels::active_isa());
     body += "\", \"pool_threads\": ";
     body += std::to_string(ThreadPool::global().threads());

@@ -136,7 +136,7 @@ class TiledRun {
         grid_(store.width(), store.height(), params.num_superpixels) {}
 
   void run(Segmentation& result, const std::int32_t** final_labels) {
-    instr_ = Instrumentation{};  // two-pass accounting: instr.fused = false
+    instr_ = Instrumentation{};
     result.centers.clear();
 
     trace::Interval init_stage;  // the core ends it once set up
@@ -158,8 +158,7 @@ class TiledRun {
       run_ppa(planes, regions, params_, dist, nullptr, init_stage, result,
               scratch_, instr_);
     } else {
-      run_cpa(planes, regions, params_, /*fused=*/false, init_stage, result,
-              scratch_, instr_);
+      run_cpa(planes, regions, params_, init_stage, result, scratch_, instr_);
     }
     *final_labels = finalize();
 
@@ -271,24 +270,6 @@ bool parse_tile_spec(const std::string& text, int* tile_width,
   if (tw <= 0 || th <= 0) return false;
   *tile_width = tw;
   *tile_height = th;
-  return true;
-}
-
-bool tile_config_from_env(TiledConfig* config) {
-  const char* env = std::getenv("SSLIC_TILE");
-  if (env == nullptr || env[0] == '\0') return false;
-  int tw = 0;
-  int th = 0;
-  if (!parse_tile_spec(env, &tw, &th)) {
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true)) {
-      SSLIC_WARN("unparsable SSLIC_TILE value \""
-                 << env << "\"; expected WxH (e.g. 512x256) or auto — ignoring");
-    }
-    return false;
-  }
-  config->tile_width = tw;
-  config->tile_height = th;
   return true;
 }
 

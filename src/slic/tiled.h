@@ -20,11 +20,8 @@
 // enforce_connectivity_span over the raw label plane (a global relabel
 // table, never a second full-image materialization).
 //
-// The driver ignores SSLIC_FUSE: tiles are not the reduction bands, so it
-// runs the two-pass schedule (instr.fused = false), and fusion is a
-// bit-identical output transform, so tiled output matches the monolithic
-// path either way. The PPA path is float64-only (the bit-width exploration
-// stays on the in-memory path).
+// The PPA path is float64-only (the bit-width exploration stays on the
+// in-memory path).
 #pragma once
 
 #include <cstddef>
@@ -82,12 +79,6 @@ struct TiledStats {
 /// Parses a "WxH" tile spec (e.g. "512x256"); "auto" (or "0") selects the
 /// budget-derived geometry. Returns false on anything else.
 bool parse_tile_spec(const std::string& text, int* tile_width, int* tile_height);
-
-/// Applies the SSLIC_TILE environment variable ("WxH" or "auto") to
-/// `config`. Returns true when the environment requested tiling; warns once
-/// per process (and returns false) on an unparsable value, mirroring the
-/// SSLIC_SIMD convention.
-bool tile_config_from_env(TiledConfig* config);
 
 /// Row producer for the streaming entry: fill one row of the three Lab
 /// channel planes. Called with ascending y, exactly once per row.

@@ -3,8 +3,8 @@
 //  - per-stream byte-identity: frames interleaved across K streams through
 //    the engine produce labels and centers byte-identical to K independent
 //    sequential TemporalSlic runs (CPA streams: plain CpaSlic calls),
-//    across fusion x thread counts (the engine-level face of the
-//    determinism contract).
+//    across thread counts (the engine-level face of the determinism
+//    contract).
 //  - scene cuts: reset_stream() applies in submission order and survives
 //    drop-oldest evicting the frame that carried it.
 //  - zero-allocation steady state across all active streams, proven by a
@@ -32,7 +32,6 @@
 #include "dataset/synthetic.h"
 #include "engine/engine.h"
 #include "slic/assign_kernels.h"
-#include "slic/fusion.h"
 #include "slic/slic_baseline.h"
 #include "slic/temporal.h"
 #include "slic/types.h"
@@ -117,9 +116,9 @@ TEST(StreamEngine, SingleStreamMatchesTemporalSlic) {
 
 TEST(StreamEngine, InterleavedStreamsMatchIndependentSequentialRuns) {
   // Three streams with different params and geometries, frames submitted
-  // interleaved (all K of frame f before any wait), across the fusion x
-  // thread-count matrix. Each stream must match its own independent
-  // sequential TemporalSlic run byte for byte.
+  // interleaved (all K of frame f before any wait), across thread counts.
+  // Each stream must match its own independent sequential TemporalSlic run
+  // byte for byte.
   GlobalThreadsGuard threads_guard;
   struct StreamCase {
     SlicParams params;
@@ -134,47 +133,43 @@ TEST(StreamEngine, InterleavedStreamsMatchIndependentSequentialRuns) {
   };
   constexpr std::size_t kFrames = 4;
 
-  for (const bool fused : {true, false}) {
-    FusionGuard fusion_guard(fused);
-    for (const int threads : {1, 4}) {
-      ThreadPool::set_global_threads(threads);
-      const std::string what = std::string("fused=") + (fused ? "1" : "0") +
-                               " threads=" + std::to_string(threads);
+  for (const int threads : {1, 4}) {
+    ThreadPool::set_global_threads(threads);
+    const std::string what = "threads=" + std::to_string(threads);
 
-      std::vector<std::vector<RgbImage>> frames;
-      std::vector<TemporalSlic> references;
-      for (const StreamCase& c : cases) {
-        frames.push_back(synthetic_frames(kFrames, c.width, c.height, c.seed));
-        references.emplace_back(c.params);
-      }
-
-      StreamEngine engine;
-      std::vector<StreamId> ids;
-      for (const StreamCase& c : cases) {
-        StreamOptions opts;
-        opts.params = c.params;
-        ids.push_back(engine.open_stream(opts));
-      }
-
-      for (std::size_t f = 0; f < kFrames; ++f) {
-        std::vector<FrameTicket> tickets;
-        for (std::size_t s = 0; s < cases.size(); ++s) {
-          const auto submitted = engine.submit(ids[s], frames[s][f]);
-          ASSERT_EQ(submitted.status, SubmitStatus::kAdmitted) << what;
-          tickets.push_back(submitted.ticket);
-        }
-        for (std::size_t s = 0; s < cases.size(); ++s) {
-          ASSERT_EQ(engine.wait(tickets[s]), WaitStatus::kCompleted) << what;
-          const Segmentation& want = references[s].next_frame(frames[s][f]);
-          const Segmentation* got = engine.last_result(ids[s]);
-          ASSERT_NE(got, nullptr) << what;
-          expect_identical(*got, want,
-                           what + " stream=" + std::to_string(s) +
-                               " frame=" + std::to_string(f));
-        }
-      }
-      for (const StreamId id : ids) engine.close_stream(id);
+    std::vector<std::vector<RgbImage>> frames;
+    std::vector<TemporalSlic> references;
+    for (const StreamCase& c : cases) {
+      frames.push_back(synthetic_frames(kFrames, c.width, c.height, c.seed));
+      references.emplace_back(c.params);
     }
+
+    StreamEngine engine;
+    std::vector<StreamId> ids;
+    for (const StreamCase& c : cases) {
+      StreamOptions opts;
+      opts.params = c.params;
+      ids.push_back(engine.open_stream(opts));
+    }
+
+    for (std::size_t f = 0; f < kFrames; ++f) {
+      std::vector<FrameTicket> tickets;
+      for (std::size_t s = 0; s < cases.size(); ++s) {
+        const auto submitted = engine.submit(ids[s], frames[s][f]);
+        ASSERT_EQ(submitted.status, SubmitStatus::kAdmitted) << what;
+        tickets.push_back(submitted.ticket);
+      }
+      for (std::size_t s = 0; s < cases.size(); ++s) {
+        ASSERT_EQ(engine.wait(tickets[s]), WaitStatus::kCompleted) << what;
+        const Segmentation& want = references[s].next_frame(frames[s][f]);
+        const Segmentation* got = engine.last_result(ids[s]);
+        ASSERT_NE(got, nullptr) << what;
+        expect_identical(*got, want,
+                         what + " stream=" + std::to_string(s) +
+                             " frame=" + std::to_string(f));
+      }
+    }
+    for (const StreamId id : ids) engine.close_stream(id);
   }
 }
 

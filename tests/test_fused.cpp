@@ -1,13 +1,12 @@
-// Golden tests for the fused iteration loop (assignment + sigma
-// accumulation in one band sweep) against the two-pass loop it replaced:
+// Golden tests for the iteration core's determinism contract (DESIGN.md
+// §4e): each iteration assigns, then accumulates sigmas in fixed bands.
+// (The suite and test names date from a removed single-sweep CPA schedule
+// that these tests held byte-identical to the two-pass one.)
 //
-//  - CPA labels AND centers must be byte-identical between the two paths
-//    for exact and subsampled CPA, every compiled SIMD backend, and several
-//    thread counts — the determinism contract of DESIGN.md §4e.
-//  - PPA has one schedule whatever the fusion switch says, so each PPA
-//    variant (both subset patterns, preemptive, warm start, quantized data
-//    width) must reproduce its own threads=1 run byte for byte at every
-//    thread count under both switch settings.
+//  - Every CPA variant (exact, subsampled) and PPA variant (both subset
+//    patterns, preemptive, warm start, quantized data width) must
+//    reproduce its own threads=1 labels AND centers byte for byte at every
+//    thread count, under every compiled SIMD backend.
 //  - the accumulate_row kernel of every vector backend must bit-equal the
 //    scalar reference on fuzzed rows (same contract as the assign kernels).
 //  - TemporalSlic's steady state (frame 2 onward at fixed geometry) must
@@ -28,7 +27,6 @@
 #include "dataset/synthetic.h"
 #include "slic/assign_kernels.h"
 #include "slic/center_update.h"
-#include "slic/fusion.h"
 #include "slic/slic_baseline.h"
 #include "slic/subsampled.h"
 #include "slic/temporal.h"
@@ -110,8 +108,7 @@ std::vector<Variant> variants() {
   return out;
 }
 
-Segmentation run_variant(const Variant& v, const LabImage& lab, bool fused) {
-  FusionGuard guard(fused);
+Segmentation run_variant(const Variant& v, const LabImage& lab) {
   if (v.cpa) return CpaSlic(v.params).segment_lab(lab);
   return PpaSlic(v.params).segment_lab(lab);
 }
@@ -123,27 +120,25 @@ static_assert(sizeof(Sigma) == 5 * sizeof(double) + sizeof(std::uint64_t),
 
 /// Byte-level equality: operator== on doubles would let -0.0 pass for
 /// +0.0 and hide a summation-order change.
-void expect_identical(const Segmentation& fused, const Segmentation& two_pass,
+void expect_identical(const Segmentation& got, const Segmentation& want,
                       const std::string& what) {
-  EXPECT_EQ(fused.iterations_run, two_pass.iterations_run) << what;
-  ASSERT_EQ(fused.labels.width(), two_pass.labels.width()) << what;
-  ASSERT_EQ(fused.labels.height(), two_pass.labels.height()) << what;
-  EXPECT_TRUE(std::equal(fused.labels.pixels().begin(),
-                         fused.labels.pixels().end(),
-                         two_pass.labels.pixels().begin()))
+  EXPECT_EQ(got.iterations_run, want.iterations_run) << what;
+  ASSERT_EQ(got.labels.width(), want.labels.width()) << what;
+  ASSERT_EQ(got.labels.height(), want.labels.height()) << what;
+  EXPECT_TRUE(std::equal(got.labels.pixels().begin(),
+                         got.labels.pixels().end(),
+                         want.labels.pixels().begin()))
       << what << ": labels differ";
-  ASSERT_EQ(fused.centers.size(), two_pass.centers.size()) << what;
-  EXPECT_EQ(0, std::memcmp(fused.centers.data(), two_pass.centers.data(),
-                           fused.centers.size() * sizeof(ClusterCenter)))
+  ASSERT_EQ(got.centers.size(), want.centers.size()) << what;
+  EXPECT_EQ(0, std::memcmp(got.centers.data(), want.centers.data(),
+                           got.centers.size() * sizeof(ClusterCenter)))
       << what << ": centers differ at the byte level";
 }
 
 TEST(FusedIteration, MatchesTwoPassAcrossVariantsIsasThreadsAndStrategies) {
   // The full identity matrix: every algorithm variant x every compiled
-  // backend x thread counts x both switch settings. Within one (variant,
-  // isa, threads) cell the CPA fused single-pass and two-pass runs must be
-  // byte-identical by the §4e contract; a PPA cell must reproduce the
-  // threads=1 run of its (variant, isa) under both settings.
+  // backend x thread counts. Each (variant, isa, threads) cell must
+  // reproduce the threads=1 run of its (variant, isa) by the §4e contract.
   const GroundTruthImage gt = generate_synthetic({160, 120}, 41);
   const LabImage lab = srgb_to_lab(gt.image);
   IsaGuard isa_guard;
@@ -156,22 +151,16 @@ TEST(FusedIteration, MatchesTwoPassAcrossVariantsIsasThreadsAndStrategies) {
         ThreadPool::set_global_threads(threads);
         const std::string what = v.name + " isa=" + simd::isa_name(isa) +
                                  " threads=" + std::to_string(threads);
-        const Segmentation fused = run_variant(v, lab, true);
-        const Segmentation two_pass = run_variant(v, lab, false);
-        if (v.cpa) {
-          expect_identical(fused, two_pass, what);
-          continue;
-        }
-        if (threads == 1) serial = fused;
-        expect_identical(fused, serial, what + " fuse=1 vs threads=1");
-        expect_identical(two_pass, serial, what + " fuse=0 vs threads=1");
+        const Segmentation run = run_variant(v, lab);
+        if (threads == 1) serial = run;
+        expect_identical(run, serial, what + " vs threads=1");
       }
     }
   }
 }
 
-/// Runs `segment` at threads 3 and 8 under both fusion settings and checks
-/// every run against the threads=1 run.
+/// Runs `segment` at threads 3 and 8 and checks each run against the
+/// threads=1 run.
 template <typename Segment>
 void expect_matches_serial(const Segment& segment, const std::string& name) {
   GlobalThreadsGuard threads_guard;
@@ -179,12 +168,8 @@ void expect_matches_serial(const Segment& segment, const std::string& name) {
   const Segmentation serial = segment();
   for (const int threads : {3, 8}) {
     ThreadPool::set_global_threads(threads);
-    for (const bool fused : {true, false}) {
-      FusionGuard guard(fused);
-      expect_identical(segment(), serial,
-                       name + " threads=" + std::to_string(threads) +
-                           " fuse=" + (fused ? "1" : "0"));
-    }
+    expect_identical(segment(), serial,
+                     name + " threads=" + std::to_string(threads));
   }
 }
 

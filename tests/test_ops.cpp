@@ -452,7 +452,6 @@ TEST_F(OpsServerTest, FramezServesWideEventsAsJson) {
   event.e2e_ms = 4.9375;
   event.iterations = 9;
   event.isa = "avx2";
-  event.fused = true;
   event.warm = true;
   event.batch_frames = 2;
   ops::record_frame_event(event);

@@ -24,7 +24,6 @@
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "dataset/synthetic.h"
-#include "slic/fusion.h"
 #include "slic/slic_baseline.h"
 #include "slic/subsampled.h"
 #include "slic/temporal.h"
@@ -613,73 +612,67 @@ TEST(Trace, StageSpansMatchInstrumentation) {
     const char* label;
     Entry entry;
     bool ppa;
-    bool fused;
     const char* init;
     const char* assign;
     const char* update;
     const char* connectivity;
   };
   const Case cases[] = {
-      {"CPA fused", Entry::kLab, false, true, "cpa.init", "cpa.assign",
-       "cpa.fused_accumulate", "cpa.connectivity"},
-      {"CPA two-pass", Entry::kLab, false, false, "cpa.init", "cpa.assign",
+      {"CPA", Entry::kLab, false, "cpa.init", "cpa.assign", "cpa.update",
+       "cpa.connectivity"},
+      {"PPA(0.5)", Entry::kLab, true, "ppa.init", "ppa.assign", "ppa.update",
+       "ppa.connectivity"},
+      {"CpaSlic::segment", Entry::kRgb, false, "cpa.init", "cpa.assign",
        "cpa.update", "cpa.connectivity"},
-      {"PPA(0.5)", Entry::kLab, true, true, "ppa.init", "ppa.assign",
+      {"PpaSlic(0.5)::segment", Entry::kRgb, true, "ppa.init", "ppa.assign",
        "ppa.update", "ppa.connectivity"},
-      {"CpaSlic::segment", Entry::kRgb, false, true, "cpa.init", "cpa.assign",
-       "cpa.fused_accumulate", "cpa.connectivity"},
-      {"PpaSlic(0.5)::segment", Entry::kRgb, true, true, "ppa.init",
+      {"TemporalSlic, two frames", Entry::kTemporal, true, "ppa.init",
        "ppa.assign", "ppa.update", "ppa.connectivity"},
-      {"TemporalSlic, two frames", Entry::kTemporal, true, true, "ppa.init",
-       "ppa.assign", "ppa.update", "ppa.connectivity"},
-      {"tiled CPA", Entry::kTiled, false, true, "cpa.init", "cpa.assign",
+      {"tiled CPA", Entry::kTiled, false, "cpa.init", "cpa.assign",
        "cpa.update", "tiled.connectivity"},
-      {"tiled PPA(0.5)", Entry::kTiled, true, true, "ppa.init",
-       "ppa.assign", "ppa.update", "tiled.connectivity"},
+      {"tiled PPA(0.5)", Entry::kTiled, true, "ppa.init", "ppa.assign",
+       "ppa.update", "tiled.connectivity"},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.label);
     Instrumentation total;  // the case's stage times, summed over its runs
     trace::reset();
     trace::set_armed(true);
-    {
-      const FusionGuard guard(c.fused);
-      SlicParams run_params = params;
-      if (c.ppa) run_params.subsample_ratio = 0.5;
-      switch (c.entry) {
-        case Entry::kLab:
-          if (c.ppa) {
-            (void)PpaSlic(run_params).segment_lab(lab, {}, &total);
-          } else {
-            (void)CpaSlic(run_params).segment_lab(lab, {}, &total);
-          }
-          break;
-        case Entry::kRgb:
-          if (c.ppa) {
-            (void)PpaSlic(run_params).segment(gt.image, {}, &total);
-          } else {
-            (void)CpaSlic(run_params).segment(gt.image, {}, &total);
-          }
-          break;
-        case Entry::kTemporal: {
-          TemporalSlic temporal(run_params);
-          for (int frame = 0; frame < 2; ++frame) {
-            Instrumentation run;
-            (void)temporal.next_frame(gt.image, &run);
-            total.convert_ms += run.convert_ms;
-            total.init_ms += run.init_ms;
-            total.assign_ms += run.assign_ms;
-            total.update_ms += run.update_ms;
-            total.connectivity_ms += run.connectivity_ms;
-          }
-          break;
+    SlicParams run_params = params;
+    if (c.ppa) run_params.subsample_ratio = 0.5;
+    switch (c.entry) {
+      case Entry::kLab:
+        if (c.ppa) {
+          (void)PpaSlic(run_params).segment_lab(lab, {}, &total);
+        } else {
+          (void)CpaSlic(run_params).segment_lab(lab, {}, &total);
         }
-        case Entry::kTiled:
-          (void)TiledSegmenter(c.ppa ? Algorithm::kSslicPpa : Algorithm::kSlic,
-                               run_params, tiled)
-              .segment_lab(lab, &total);
-          break;
+        break;
+      case Entry::kRgb:
+        if (c.ppa) {
+          (void)PpaSlic(run_params).segment(gt.image, {}, &total);
+        } else {
+          (void)CpaSlic(run_params).segment(gt.image, {}, &total);
+        }
+        break;
+      case Entry::kTemporal: {
+        TemporalSlic temporal(run_params);
+        for (int frame = 0; frame < 2; ++frame) {
+          Instrumentation run;
+          (void)temporal.next_frame(gt.image, &run);
+          total.convert_ms += run.convert_ms;
+          total.init_ms += run.init_ms;
+          total.assign_ms += run.assign_ms;
+          total.update_ms += run.update_ms;
+          total.connectivity_ms += run.connectivity_ms;
+        }
+        break;
       }
+      case Entry::kTiled:
+        (void)TiledSegmenter(c.ppa ? Algorithm::kSslicPpa : Algorithm::kSlic,
+                             run_params, tiled)
+            .segment_lab(lab, &total);
+        break;
     }
     const bool converts = c.entry == Entry::kRgb || c.entry == Entry::kTemporal;
     const std::vector<ParsedEvent> events = parse_trace(serialize_session());

@@ -3,8 +3,8 @@
 //
 //  - labels AND centers must be byte-identical between the tiled and
 //    monolithic paths for every algorithm variant, every compiled SIMD
-//    backend, several thread counts, and both fusion settings of the
-//    monolithic baseline — the identity contract of DESIGN.md §4h.
+//    backend and several thread counts — the identity contract of
+//    DESIGN.md §4h.
 //  - seam edge cases: tile sizes that do not divide the image, a
 //    single-pixel remainder row/column, one tile covering the whole image,
 //    and superpixels spanning four tile corners.
@@ -27,7 +27,6 @@
 #include "dataset/synthetic.h"
 #include "image/planar_store.h"
 #include "slic/assign_kernels.h"
-#include "slic/fusion.h"
 #include "slic/slic_baseline.h"
 #include "slic/subsampled.h"
 #include "slic/tiled.h"
@@ -142,10 +141,8 @@ void expect_identical(const Segmentation& tiled, const Segmentation& mono,
 }
 
 TEST(TiledIdentity, MatchesMonolithicAcrossVariantsIsasThreadsAndFusion) {
-  // The full identity matrix. The tiled driver has a fixed pass structure,
-  // so the fusion toggle only varies the monolithic baseline — identity
-  // under both settings proves the tiled output sits on the shared
-  // fused/two-pass fixpoint.
+  // The full identity matrix. (The name's "Fusion" axis went with the
+  // single-sweep CPA schedule; both paths now run the one two-pass core.)
   const GroundTruthImage gt = generate_synthetic({160, 120}, 41);
   const LabImage lab = srgb_to_lab(gt.image);
   IsaGuard isa_guard;
@@ -155,17 +152,13 @@ TEST(TiledIdentity, MatchesMonolithicAcrossVariantsIsasThreadsAndFusion) {
       simd::set_preferred_isa(isa);
       for (const int threads : {1, 3, 7}) {
         ThreadPool::set_global_threads(threads);
-        for (const bool fused : {true, false}) {
-          FusionGuard fusion_guard(fused);
-          const std::string what = v.name + " isa=" + simd::isa_name(isa) +
-                                   " threads=" + std::to_string(threads) +
-                                   " fused=" + (fused ? "1" : "0");
-          const Segmentation mono = run_monolithic(v, lab);
-          // 57x41 divides neither dimension: every interior seam is
-          // exercised, including ragged right/bottom tiles.
-          const Segmentation tiled = run_tiled(v, lab, 57, 41);
-          expect_identical(tiled, mono, what);
-        }
+        const std::string what = v.name + " isa=" + simd::isa_name(isa) +
+                                 " threads=" + std::to_string(threads);
+        const Segmentation mono = run_monolithic(v, lab);
+        // 57x41 divides neither dimension: every interior seam is
+        // exercised, including ragged right/bottom tiles.
+        const Segmentation tiled = run_tiled(v, lab, 57, 41);
+        expect_identical(tiled, mono, what);
       }
     }
   }

@@ -7,9 +7,9 @@ Every bench binary emits a normalized ``gate`` section (see
     "gate": {
       "schema_version": 1,
       "metrics": {
-        "fused_ms_per_frame": {
-          "value": 12.3, "unit": "ms",
-          "direction": "lower_is_better", "tolerance": 0.10
+        "serial_ms_per_frame": {
+          "value": 118.6, "unit": "ms",
+          "direction": "lower_is_better", "tolerance": 0.25
         }, ...
       }
     }

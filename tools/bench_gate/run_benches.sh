@@ -22,10 +22,6 @@ WORK_DIR="$(mktemp -d)"
 trap 'rm -rf "$WORK_DIR"' EXIT
 cd "$WORK_DIR"
 
-echo "== fused_iteration =="
-"$BUILD_DIR/bench/fused_iteration" --frames=5 --width=640 --height=360 \
-    --superpixels=400
-
 echo "== telemetry_overhead =="
 "$BUILD_DIR/bench/telemetry_overhead" --frames=5 --width=640 --height=360 \
     --superpixels=400
