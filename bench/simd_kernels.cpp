@@ -1,6 +1,7 @@
-// SIMD assignment-kernel benchmark: scalar vs every vector backend this
-// binary + CPU can run, for the three hot row kernels (CPA running-min,
-// PPA 9-candidate argmin, 8-bit datapath 9-candidate argmin).
+// SIMD row-kernel benchmark: scalar vs every vector backend this binary +
+// CPU can run, for the three hot assignment row kernels (CPA running-min,
+// PPA 9-candidate argmin, 8-bit datapath 9-candidate argmin) and the
+// sRGB->Lab conversion row (srgb_to_lab_row).
 //
 // Reports ns/pixel and effective GB/s per backend, the speedup of the best
 // vector backend over scalar, and — before any timing is trusted — a
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "color/color_convert.h"
 #include "common/rng.h"
 #include "common/simd.h"
 #include "slic/assign_kernels.h"
@@ -167,6 +169,61 @@ void run_pass(const kernels::KernelTable& table, Kernel kernel,
   }
 }
 
+/// Median-of-3 milliseconds of `reps` calls of `pass`, after one warm-up
+/// call.
+template <typename Pass>
+double median_ms(int reps, const Pass& pass) {
+  pass();
+  std::array<double, 3> samples{};
+  for (double& sample : samples) {
+    Stopwatch watch;
+    for (int rep = 0; rep < reps; ++rep) pass();
+    sample = watch.elapsed_ms();
+  }
+  std::sort(samples.begin(), samples.end());
+  return samples[1];
+}
+
+/// The conversion row's inputs (uniform random RGB, `rows` x `width`) and
+/// one backend's output planes.
+struct ConversionPass {
+  int width = 0;
+  int rows = 0;
+  std::vector<Rgb8> rgb;
+  std::vector<float> L, a, b;
+
+  ConversionPass(int width_, int rows_) : width(width_), rows(rows_) {
+    const std::size_t n =
+        static_cast<std::size_t>(width) * static_cast<std::size_t>(rows);
+    rgb.resize(n);
+    L.resize(n);
+    a.resize(n);
+    b.resize(n);
+    Rng rng(20261020);
+    for (Rgb8& px : rgb)
+      px = {static_cast<std::uint8_t>(rng.next_int(0, 255)),
+            static_cast<std::uint8_t>(rng.next_int(0, 255)),
+            static_cast<std::uint8_t>(rng.next_int(0, 255))};
+  }
+
+  /// Converts every row once with `row`.
+  void run(LabRowKernel row) {
+    for (int r = 0; r < rows; ++r) {
+      const std::size_t off =
+          static_cast<std::size_t>(r) * static_cast<std::size_t>(width);
+      row(rgb.data() + off, width, L.data() + off, a.data() + off,
+          b.data() + off);
+    }
+  }
+
+  [[nodiscard]] bool same_output(const ConversionPass& other) const {
+    const std::size_t bytes = L.size() * sizeof(float);
+    return std::memcmp(L.data(), other.L.data(), bytes) == 0 &&
+           std::memcmp(a.data(), other.a.data(), bytes) == 0 &&
+           std::memcmp(b.data(), other.b.data(), bytes) == 0;
+  }
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -187,7 +244,7 @@ int main(int argc, char** argv) {
                               static_cast<double>(reps);
 
   std::cout << "==================================================================\n"
-            << "SIMD assignment kernels — scalar vs vector backends\n"
+            << "SIMD row kernels — scalar vs vector backends\n"
             << "workload: " << rows << " rows x " << width << " px, " << reps
             << " passes per kernel\n"
             << "cpu: " << bench::cpu_model_name() << '\n'
@@ -234,15 +291,9 @@ int main(int argc, char** argv) {
     for (const simd::Isa isa : isas) {
       const kernels::KernelTable& kt = kernels::table_for(isa);
       RunState state{wl.min_dist, wl.labels};
-      run_pass(kt, kernel, wl, state);  // warm-up
-      std::array<double, 3> samples{};
-      for (double& sample : samples) {
-        Stopwatch watch;
-        for (int rep = 0; rep < reps; ++rep) run_pass(kt, kernel, wl, state);
-        sample = watch.elapsed_ms();
-      }
-      std::sort(samples.begin(), samples.end());
-      const double ns_per_pixel = samples[1] * 1e6 / total_pixels;
+      const double ns_per_pixel =
+          median_ms(reps, [&] { run_pass(kt, kernel, wl, state); }) * 1e6 /
+          total_pixels;
       const double gbps =
           bytes_per_pixel(kernel) / ns_per_pixel;  // B/ns == GB/s
       if (isa == simd::Isa::kScalar) {
@@ -278,6 +329,64 @@ int main(int argc, char** argv) {
                           .set("best_vector_isa", best_vector)
                           .set("best_speedup_vs_scalar", best_speedup)
                           .set("outputs_identical", all_identical));
+  }
+  {
+    // The conversion row: same workload size, each backend's planes checked
+    // against the reference row's. SSE2 and NEON run the reference row
+    // (color/color_convert.h), so their speedup is ~1x.
+    constexpr const char* kName = "srgb_to_lab_row";
+    constexpr double kBytesPerPixel = 3 + 3 * 4;  // RGB in, 3 floats out
+    ConversionPass ref(width, rows);
+    ref.run(srgb_to_lab_row(simd::Isa::kScalar));
+    bool row_identical = true;
+    double scalar_ns = 0.0;
+    double best_vector_ns = std::numeric_limits<double>::infinity();
+    std::string best_vector = "none";
+    std::vector<std::string> row = {kName};
+    bench::Json backends_json = bench::Json::array();
+    for (const simd::Isa isa : isas) {
+      const LabRowKernel kernel = srgb_to_lab_row(isa);
+      ConversionPass got(width, rows);
+      got.run(kernel);
+      if (!got.same_output(ref)) {
+        std::cerr << "MISMATCH: " << kName << " on " << simd::isa_name(isa)
+                  << " diverges from the reference\n";
+        row_identical = false;
+      }
+      const double ns_per_pixel =
+          median_ms(reps, [&] { got.run(kernel); }) * 1e6 / total_pixels;
+      if (isa == simd::Isa::kScalar) {
+        scalar_ns = ns_per_pixel;
+      } else if (ns_per_pixel < best_vector_ns) {
+        best_vector_ns = ns_per_pixel;
+        best_vector = simd::isa_name(isa);
+      }
+      row.push_back(Table::num(ns_per_pixel, 3));
+      backends_json.push(bench::Json::object()
+                             .set("isa", simd::isa_name(isa))
+                             .set("ns_per_pixel", ns_per_pixel)
+                             .set("gb_per_s", kBytesPerPixel / ns_per_pixel)
+                             .set("speedup_vs_scalar",
+                                  isa == simd::Isa::kScalar
+                                      ? 1.0
+                                      : scalar_ns / ns_per_pixel));
+    }
+    const double best_speedup =
+        best_vector_ns < std::numeric_limits<double>::infinity()
+            ? scalar_ns / best_vector_ns
+            : 1.0;
+    row.push_back(Table::num(best_speedup, 2) + "x (" + best_vector + ")");
+    table.add_row(row);
+    gate.higher_is_better(std::string(kName) + "_best_speedup", best_speedup,
+                          "x", 0.25);
+    kernels_json.push(bench::Json::object()
+                          .set("kernel", kName)
+                          .set("bytes_per_pixel", kBytesPerPixel)
+                          .set("backends", std::move(backends_json))
+                          .set("best_vector_isa", best_vector)
+                          .set("best_speedup_vs_scalar", best_speedup)
+                          .set("outputs_identical", row_identical));
+    all_identical = all_identical && row_identical;
   }
   std::cout << table;
   std::cout << "identity cross-check: "

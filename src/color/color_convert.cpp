@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "color/color_kernels.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
 
@@ -18,12 +19,10 @@ double lab_f(double t) {
   return (kLabKappa * t + 16.0) / 116.0;
 }
 
-namespace {
-
 // Inverse gamma is a pure function of the 8-bit channel value; tabulating
 // it is exact (not an approximation) and removes the pow() hotspot from
 // the conversion phase.
-const std::array<double, 256>& gamma_table() {
+const std::array<double, 256>& color_kernels::gamma_table() {
   static const std::array<double, 256> table = [] {
     std::array<double, 256> t{};
     for (int v = 0; v < 256; ++v)
@@ -33,12 +32,11 @@ const std::array<double, 256>& gamma_table() {
   return table;
 }
 
-}  // namespace
-
 LabF srgb_to_lab(Rgb8 rgb) {
-  const double r = gamma_table()[rgb.r];
-  const double g = gamma_table()[rgb.g];
-  const double b = gamma_table()[rgb.b];
+  const std::array<double, 256>& gamma = color_kernels::gamma_table();
+  const double r = gamma[rgb.r];
+  const double g = gamma[rgb.g];
+  const double b = gamma[rgb.b];
 
   const double x = kSrgbToXyz[0] * r + kSrgbToXyz[1] * g + kSrgbToXyz[2] * b;
   const double y = kSrgbToXyz[3] * r + kSrgbToXyz[4] * g + kSrgbToXyz[5] * b;
@@ -61,25 +59,63 @@ LabImage srgb_to_lab(const RgbImage& image) {
   return lab;
 }
 
+namespace {
+
+/// The reference row: srgb_to_lab(Rgb8) per pixel — the oracle every
+/// vector row is checked against, and what SSLIC_SIMD=scalar runs.
+std::int64_t reference_row(const Rgb8* src, std::int64_t count, float* L,
+                           float* a, float* b) {
+  for (std::int64_t i = 0; i < count; ++i) {
+    const LabF px = srgb_to_lab(src[i]);
+    L[i] = px.L;
+    a[i] = px.a;
+    b[i] = px.b;
+  }
+  return 0;
+}
+
+}  // namespace
+
+LabRowKernel srgb_to_lab_row(simd::Isa isa) {
+  switch (isa) {
+    case simd::Isa::kAvx2:
+#if defined(SSLIC_KERNELS_AVX2)
+      return &color_kernels::srgb_to_lab_row_avx2;
+#else
+      break;
+#endif
+    case simd::Isa::kAvx512:
+#if defined(SSLIC_KERNELS_AVX512)
+      return &color_kernels::srgb_to_lab_row_avx512;
+#else
+      break;
+#endif
+    case simd::Isa::kScalar:
+    case simd::Isa::kSse2:
+    case simd::Isa::kNeon:
+      break;
+  }
+  return &reference_row;
+}
+
+simd::Isa srgb_to_lab_isa() { return simd::active_isa(); }
+
 double srgb_to_lab(const RgbImage& image, LabImage& lab) {
   trace::Interval stage;
   if (lab.width() != image.width() || lab.height() != image.height())
     lab = LabImage(image.width(), image.height());
+  const LabRowKernel row = srgb_to_lab_row(srgb_to_lab_isa());
   const Rgb8* const src = image.data();
   float* const dl = lab.L.data();
   float* const da = lab.a.data();
   float* const db = lab.b.data();
-  // Pure per-pixel map: identical output for any range partition.
+  // Pure per-pixel map, and every row kernel writes the reference's floats:
+  // identical output for any range partition and any ISA.
   parallel_for(0, static_cast<std::int64_t>(image.size()),
                [&](std::int64_t lo, std::int64_t hi) {
                  SSLIC_TRACE_SCOPE_AT(1, "color.srgb_to_lab.chunk", lo);
-                 for (std::int64_t i = lo; i < hi; ++i) {
-                   const auto idx = static_cast<std::size_t>(i);
-                   const LabF px = srgb_to_lab(src[idx]);
-                   dl[idx] = px.L;
-                   da[idx] = px.a;
-                   db[idx] = px.b;
-                 }
+                 const auto off = static_cast<std::size_t>(lo);
+                 row(src + off, hi - lo, dl + off, da + off, db + off);
                });
   return stage.complete("color.srgb_to_lab");
 }

@@ -1,4 +1,6 @@
-// Reference (double-precision) sRGB -> CIELAB conversion, paper Eqs. 1-4.
+// Reference (double-precision) sRGB -> CIELAB conversion, paper Eqs. 1-4,
+// and the image-level conversion that runs it — per pixel, or through the
+// AVX2/AVX-512 row kernels that write the same floats (color_kernels.h).
 //
 // Two transcription notes versus the paper text, both obvious typos against
 // the standard sRGB/CIELAB definitions the paper cites:
@@ -9,7 +11,9 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 
+#include "common/simd.h"
 #include "image/image.h"
 
 namespace sslic {
@@ -41,8 +45,9 @@ double lab_f(double t);
 /// [-110,110]).
 LabF srgb_to_lab(Rgb8 rgb);
 
-/// Converts a full image (reference path used by the software SLIC
-/// implementations and as the golden model for the LUT unit's tests).
+/// Converts a full image (the path the software SLIC implementations use
+/// and the golden model of the LUT unit's tests). Every float equals
+/// srgb_to_lab(Rgb8) of its pixel, whichever row kernel ran.
 LabImage srgb_to_lab(const RgbImage& image);
 
 /// In-place variant: converts into `lab`'s three planes, resizing only when
@@ -50,8 +55,28 @@ LabImage srgb_to_lab(const RgbImage& image);
 /// reuses one Lab frame across the stream). The conversion is one stage
 /// clock: it records the `color.srgb_to_lab` span and returns the same
 /// measurement in milliseconds, for the caller's
-/// `Instrumentation::convert_ms`.
+/// `Instrumentation::convert_ms`. Runs srgb_to_lab_row(srgb_to_lab_isa())
+/// inside its parallel_for chunks, resolved once per call.
 double srgb_to_lab(const RgbImage& image, LabImage& lab);
+
+/// A conversion row: converts `count` pixels of `src` into the three
+/// planes. Every float it writes equals srgb_to_lab(Rgb8) of that pixel,
+/// byte for byte (color/color_kernels.h has the contract). Returns how many
+/// pixels a vector kernel's rounding guard handed to srgb_to_lab(Rgb8) (0
+/// for the reference row). Reads exactly 3 * count bytes of `src`.
+using LabRowKernel = std::int64_t (*)(const Rgb8* src, std::int64_t count,
+                                      float* L, float* a, float* b);
+
+/// The row kernel of `isa`: vector kernels for AVX2 and AVX-512 when this
+/// binary compiled them, the per-pixel reference loop otherwise (scalar,
+/// SSE2, NEON, and every ISA of a -DSSLIC_SIMD=OFF build). Calling a vector
+/// kernel on a CPU that lacks the ISA is undefined — resolve through
+/// srgb_to_lab_isa() unless the caller has checked simd::cpu_supports.
+LabRowKernel srgb_to_lab_row(simd::Isa isa);
+
+/// The ISA the image-level conversion resolves to: simd::active_isa(), the
+/// ladder the assignment kernels use too, so one `isa` names both.
+simd::Isa srgb_to_lab_isa();
 
 /// Inverse conversion (CIELAB -> 8-bit sRGB, channels clamped), used by the
 /// dataset generator to synthesize images with prescribed Lab statistics.

@@ -1,9 +1,11 @@
 #include "common/simd.h"
 
+#include <atomic>
 #include <cstdlib>
 #include <mutex>
 
 #include "common/logging.h"
+#include "common/telemetry.h"
 
 namespace sslic::simd {
 namespace {
@@ -180,6 +182,62 @@ void reset_preferred_isa() {
   Preference& p = preference_state();
   const std::lock_guard<std::mutex> lock(p.mutex);
   p.overridden = false;
+}
+
+bool backend_compiled(Isa isa) {
+  switch (isa) {
+    case Isa::kScalar:
+      return true;
+    case Isa::kSse2:
+#if defined(SSLIC_KERNELS_SSE2)
+      return true;
+#else
+      return false;
+#endif
+    case Isa::kAvx2:
+#if defined(SSLIC_KERNELS_AVX2)
+      return true;
+#else
+      return false;
+#endif
+    case Isa::kNeon:
+#if defined(SSLIC_KERNELS_NEON)
+      return true;
+#else
+      return false;
+#endif
+    case Isa::kAvx512:
+#if defined(SSLIC_KERNELS_AVX512)
+      return true;
+#else
+      return false;
+#endif
+  }
+  return false;
+}
+
+Isa active_isa() {
+  Isa isa = preferred_isa();
+  // Degrade along the same ladder the CPU clamp uses, but against the
+  // backends compiled into this binary.
+  if (isa == Isa::kAvx512 && !backend_compiled(isa)) isa = Isa::kAvx2;
+  if (isa == Isa::kAvx2 && !backend_compiled(isa)) isa = Isa::kSse2;
+  if (!backend_compiled(isa)) isa = Isa::kScalar;
+  // Gauge, not counter: re-resolution is idempotent, and tests/tools read
+  // the *effective* backend after env/CPU/binary clamping. Published only
+  // when the resolved value changes — the registry lookup takes a mutex
+  // and builds a std::string key, neither of which belongs on the
+  // per-frame path (test_fused asserts steady-state frames allocate
+  // nothing). A gauge reference is never cached across calls because
+  // MetricsRegistry::clear() invalidates it.
+  static std::atomic<int> last_published{-1};
+  const int value = static_cast<int>(isa);
+  if (last_published.exchange(value, std::memory_order_relaxed) != value) {
+    telemetry::MetricsRegistry::global()
+        .gauge("sslic.simd.active_isa")
+        .set(static_cast<double>(value));
+  }
+  return isa;
 }
 
 }  // namespace sslic::simd

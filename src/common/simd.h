@@ -2,11 +2,12 @@
 // process-wide preference that benches, examples, and tests can override
 // (`SSLIC_SIMD` environment variable or a `--simd=NAME` flag).
 //
-// This header only names instruction sets and resolves which one to *ask*
-// for; the vector kernels themselves live in per-ISA translation units
-// (see slic/assign_kernels.h) compiled with the matching architecture
-// flags, and the kernel dispatcher clamps the preference to the backends
-// that were actually compiled in. Selection is resolved once (first query
+// This header names instruction sets and resolves which one runs; the
+// vector kernels themselves live in per-ISA translation units
+// (slic/assign_kernels.h, color/color_kernels.h) compiled with the matching
+// architecture flags. `active_isa()` is the one clamp ladder both kernel
+// families resolve through: the preference, clamped to the CPU, then to the
+// backends this binary compiled. Selection is resolved once (first query
 // reads the environment) and is cheap to re-query afterwards.
 #pragma once
 
@@ -63,5 +64,18 @@ bool set_preferred_isa(const std::string& text);
 /// Drops any override and re-reads `SSLIC_SIMD` on the next query (used
 /// by tests that sweep backends).
 void reset_preferred_isa();
+
+/// True when this binary compiled the kernel TUs for `isa` (scalar always;
+/// the vector ISAs depend on the target architecture and the SSLIC_SIMD
+/// build option, src/CMakeLists.txt).
+bool backend_compiled(Isa isa);
+
+/// The ISA the kernels actually run: preferred_isa() (env/flag override,
+/// CPU clamped) further clamped to the compiled backends, degrading
+/// avx512 -> avx2 -> sse2 -> scalar and neon -> scalar. The assignment
+/// kernels and the sRGB->Lab conversion both resolve through it, so the
+/// wide event's `isa` field names what ran. Publishes the resolved value as
+/// the telemetry gauge `sslic.simd.active_isa` (the numeric Isa enum value).
+Isa active_isa();
 
 }  // namespace sslic::simd

@@ -1,42 +1,6 @@
 #include "slic/assign_kernels.h"
 
-#include <atomic>
-
-#include "common/telemetry.h"
-
 namespace sslic::kernels {
-
-bool backend_compiled(simd::Isa isa) {
-  switch (isa) {
-    case simd::Isa::kScalar:
-      return true;
-    case simd::Isa::kSse2:
-#if defined(SSLIC_KERNELS_SSE2)
-      return true;
-#else
-      return false;
-#endif
-    case simd::Isa::kAvx2:
-#if defined(SSLIC_KERNELS_AVX2)
-      return true;
-#else
-      return false;
-#endif
-    case simd::Isa::kNeon:
-#if defined(SSLIC_KERNELS_NEON)
-      return true;
-#else
-      return false;
-#endif
-    case simd::Isa::kAvx512:
-#if defined(SSLIC_KERNELS_AVX512)
-      return true;
-#else
-      return false;
-#endif
-  }
-  return false;
-}
 
 const KernelTable& table_for(simd::Isa isa) {
   switch (isa) {
@@ -68,31 +32,6 @@ const KernelTable& table_for(simd::Isa isa) {
 #endif
   }
   return scalar_table();
-}
-
-simd::Isa active_isa() {
-  simd::Isa isa = simd::preferred_isa();
-  // Degrade along the same ladder the CPU clamp uses, but against the
-  // backends compiled into this binary.
-  if (isa == simd::Isa::kAvx512 && !backend_compiled(isa))
-    isa = simd::Isa::kAvx2;
-  if (isa == simd::Isa::kAvx2 && !backend_compiled(isa)) isa = simd::Isa::kSse2;
-  if (!backend_compiled(isa)) isa = simd::Isa::kScalar;
-  // Gauge, not counter: re-resolution is idempotent, and tests/tools read
-  // the *effective* backend after env/CPU/binary clamping. Published only
-  // when the resolved value changes — the registry lookup takes a mutex
-  // and builds a std::string key, neither of which belongs on the
-  // per-frame path (test_fused asserts steady-state frames allocate
-  // nothing). A gauge reference is never cached across calls because
-  // MetricsRegistry::clear() invalidates it.
-  static std::atomic<int> last_published{-1};
-  const int value = static_cast<int>(isa);
-  if (last_published.exchange(value, std::memory_order_relaxed) != value) {
-    telemetry::MetricsRegistry::global()
-        .gauge("sslic.simd.active_isa")
-        .set(static_cast<double>(value));
-  }
-  return isa;
 }
 
 const KernelTable& active() { return table_for(active_isa()); }

@@ -32,7 +32,8 @@
 // and instantiates one shared template algorithm
 // (assign_kernels_impl.h), so the operation sequence cannot drift between
 // backends. Dispatch is a function-pointer table selected from
-// simd::preferred_isa() clamped to the backends compiled into the binary.
+// simd::active_isa(): the preference clamped to the CPU and to the
+// backends compiled into the binary.
 #pragma once
 
 #include <cstdint>
@@ -115,10 +116,9 @@ struct KernelTable {
                          const std::int32_t* labels, Sigma* sigmas);
 };
 
-/// True when the backend for `isa` was compiled into this binary (the
-/// scalar backend always is; vector backends depend on the target
-/// architecture and the SSLIC_SIMD build option).
-bool backend_compiled(simd::Isa isa);
+/// True when the backend for `isa` was compiled into this binary; the one
+/// definition lives in common/simd.h.
+using simd::backend_compiled;
 
 /// The kernel table of `isa`; falls back to the scalar table when that
 /// backend is not compiled in. Calling a vector table on a CPU that lacks
@@ -126,12 +126,10 @@ bool backend_compiled(simd::Isa isa);
 /// unless the caller has checked `simd::cpu_supports` itself.
 const KernelTable& table_for(simd::Isa isa);
 
-/// The ISA actually used: simd::preferred_isa() (env/flag override, CPU
-/// clamped) further clamped to the compiled backends, degrading
-/// avx512 -> avx2 -> sse2 -> scalar and neon -> scalar. Publishes the
-/// resolved value as the telemetry gauge `sslic.simd.active_isa` (the
-/// numeric Isa enum value) so runs can report which backend executed.
-simd::Isa active_isa();
+/// The ISA actually used: simd::active_isa(), the clamp ladder the
+/// conversion rows share (env/flag override, clamped to the CPU and then to
+/// the compiled backends; publishes the `sslic.simd.active_isa` gauge).
+using simd::active_isa;
 
 /// Kernel table of `active_isa()` — what the segmenters call. Resolve once
 /// per run, outside the pixel loops.

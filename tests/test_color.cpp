@@ -1,18 +1,79 @@
 // Tests for src/color: the double-precision reference conversion (Eqs. 1-4)
 // and the accelerator's LUT color-conversion unit (Fig. 4, Section 6.1).
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstring>
+#include <vector>
 
 #include "color/color_convert.h"
 #include "color/lab8.h"
 #include "color/lut_color_unit.h"
 #include "common/rng.h"
+#include "common/simd.h"
 #include "common/thread_pool.h"
+#include "slic/assign_kernels.h"
 
 namespace sslic {
 namespace {
+
+/// Restores the process-wide ISA preference on scope exit.
+struct IsaGuard {
+  ~IsaGuard() { simd::reset_preferred_isa(); }
+};
+
+/// Every ISA whose backend this binary compiled and this CPU runs, scalar
+/// first.
+std::vector<simd::Isa> runnable_isas() {
+  std::vector<simd::Isa> isas;
+  for (const simd::Isa isa :
+       {simd::Isa::kScalar, simd::Isa::kSse2, simd::Isa::kAvx2,
+        simd::Isa::kAvx512, simd::Isa::kNeon}) {
+    if (simd::backend_compiled(isa) && simd::cpu_supports(isa))
+      isas.push_back(isa);
+  }
+  return isas;
+}
+
+/// The distinct conversion rows of runnable_isas() (SSE2 and NEON share
+/// the scalar reference row), each with the first ISA that selects it.
+std::vector<std::pair<simd::Isa, LabRowKernel>> runnable_rows() {
+  std::vector<std::pair<simd::Isa, LabRowKernel>> rows;
+  for (const simd::Isa isa : runnable_isas()) {
+    const LabRowKernel row = srgb_to_lab_row(isa);
+    bool seen = false;
+    for (const auto& entry : rows) seen = seen || entry.second == row;
+    if (!seen) rows.emplace_back(isa, row);
+  }
+  return rows;
+}
+
+RgbImage random_rgb_image(int width, int height, std::uint64_t seed) {
+  RgbImage img(width, height);
+  Rng rng(seed);
+  for (auto& px : img.pixels())
+    px = {static_cast<std::uint8_t>(rng.next_int(0, 255)),
+          static_cast<std::uint8_t>(rng.next_int(0, 255)),
+          static_cast<std::uint8_t>(rng.next_int(0, 255))};
+  return img;
+}
+
+/// Pixels of `lab` whose L, a or b bytes differ from srgb_to_lab(Rgb8).
+int count_mismatches(const RgbImage& img, const LabImage& lab) {
+  int mismatches = 0;
+  for (int y = 0; y < img.height(); ++y) {
+    for (int x = 0; x < img.width(); ++x) {
+      const LabF want = srgb_to_lab(img(x, y));
+      mismatches += std::memcmp(&lab.L(x, y), &want.L, sizeof(float)) != 0 ||
+                    std::memcmp(&lab.a(x, y), &want.a, sizeof(float)) != 0 ||
+                    std::memcmp(&lab.b(x, y), &want.b, sizeof(float)) != 0;
+    }
+  }
+  return mismatches;
+}
 
 // ------------------------------------------------------ reference (Eq. 1-4)
 
@@ -98,33 +159,151 @@ TEST(ColorReference, InverseRoundTrips) {
 }
 
 TEST(ColorReference, FullImageConversionMatchesPerPixel) {
-  // Every pixel of every plane, byte for byte, at pool widths that split
-  // the plane writes differently (257x131 divides evenly by none of them).
-  RgbImage img(257, 131);
-  Rng rng(97);
-  for (auto& px : img.pixels())
-    px = {static_cast<std::uint8_t>(rng.next_int(0, 255)),
-          static_cast<std::uint8_t>(rng.next_int(0, 255)),
-          static_cast<std::uint8_t>(rng.next_int(0, 255))};
+  // Every pixel of every plane, byte for byte, under every runnable
+  // backend, at pool widths that split the plane writes differently
+  // (257x131 divides evenly by none of them).
+  const RgbImage img = random_rgb_image(257, 131, 97);
+  IsaGuard isa_guard;
   struct GlobalThreadsGuard {
     ~GlobalThreadsGuard() { ThreadPool::set_global_threads(0); }
   } threads_guard;
-  for (const int threads : {1, 3, 8}) {
-    SCOPED_TRACE(threads);
-    ThreadPool::set_global_threads(threads);
-    const LabImage lab = srgb_to_lab(img);
-    ASSERT_EQ(lab.width(), img.width());
-    ASSERT_EQ(lab.height(), img.height());
-    int mismatches = 0;
-    for (int y = 0; y < img.height(); ++y) {
-      for (int x = 0; x < img.width(); ++x) {
-        const LabF want = srgb_to_lab(img(x, y));
-        mismatches += std::memcmp(&lab.L(x, y), &want.L, sizeof(float)) != 0;
-        mismatches += std::memcmp(&lab.a(x, y), &want.a, sizeof(float)) != 0;
-        mismatches += std::memcmp(&lab.b(x, y), &want.b, sizeof(float)) != 0;
+  for (const simd::Isa isa : runnable_isas()) {
+    simd::set_preferred_isa(isa);
+    for (const int threads : {1, 3, 8}) {
+      SCOPED_TRACE(std::string(simd::isa_name(isa)) + " threads=" +
+                   std::to_string(threads));
+      ThreadPool::set_global_threads(threads);
+      const LabImage lab = srgb_to_lab(img);
+      ASSERT_EQ(lab.width(), img.width());
+      ASSERT_EQ(lab.height(), img.height());
+      EXPECT_EQ(count_mismatches(img, lab), 0);
+    }
+  }
+}
+
+TEST(ColorReference, EveryTailLengthMatchesPerPixel) {
+  // Widths 1..2*8+1 cover every tail length of the widest (8-lane) row,
+  // a 1x1 image included. Each RgbImage's pixel vector is allocated at
+  // exactly 3 * width * height bytes, so under ASan a row that reads past
+  // the image's last pixel reports a heap overflow.
+  IsaGuard isa_guard;
+  for (const simd::Isa isa : runnable_isas()) {
+    simd::set_preferred_isa(isa);
+    for (const int height : {1, 3}) {
+      for (int width = 1; width <= 17; ++width) {
+        SCOPED_TRACE(std::string(simd::isa_name(isa)) + " " +
+                     std::to_string(width) + "x" + std::to_string(height));
+        const RgbImage img = random_rgb_image(
+            width, height, static_cast<std::uint64_t>(width * 31 + height));
+        LabImage lab;
+        srgb_to_lab(img, lab);
+        EXPECT_EQ(count_mismatches(img, lab), 0);
       }
     }
-    EXPECT_EQ(mismatches, 0);
+  }
+}
+
+TEST(ColorKernels, RowsReadNoBytePastTheirLastPixel) {
+  // Rows that end exactly at a page boundary with an inaccessible page
+  // behind it: a kernel that reads one byte past its last pixel faults
+  // here in every build, not only under ASan.
+  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  void* const mem = mmap(nullptr, 2 * page, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(mem, MAP_FAILED);
+  struct Unmap {
+    void* mem;
+    std::size_t bytes;
+    ~Unmap() { munmap(mem, bytes); }
+  } unmap{mem, 2 * page};
+  auto* const bytes = static_cast<std::uint8_t*>(mem);
+  ASSERT_EQ(mprotect(bytes + page, page, PROT_NONE), 0);
+  Rng rng(5);
+  for (std::size_t i = 0; i < page; ++i)
+    bytes[i] = static_cast<std::uint8_t>(rng.next_int(0, 255));
+
+  for (const auto& [isa, row] : runnable_rows()) {
+    for (const std::int64_t count : {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 100}) {
+      SCOPED_TRACE(std::string(simd::isa_name(isa)) +
+                   " count=" + std::to_string(count));
+      const auto* const src = reinterpret_cast<const Rgb8*>(
+          bytes + page - 3 * static_cast<std::size_t>(count));
+      std::vector<float> L(static_cast<std::size_t>(count));
+      std::vector<float> a(L.size()), b(L.size());
+      row(src, count, L.data(), a.data(), b.data());
+      int mismatches = 0;
+      for (std::size_t i = 0; i < L.size(); ++i) {
+        const LabF want = srgb_to_lab(src[i]);
+        mismatches += std::memcmp(&L[i], &want.L, sizeof(float)) != 0 ||
+                      std::memcmp(&a[i], &want.a, sizeof(float)) != 0 ||
+                      std::memcmp(&b[i], &want.b, sizeof(float)) != 0;
+      }
+      EXPECT_EQ(mismatches, 0);
+    }
+  }
+}
+
+TEST(ColorKernels, ExhaustiveMatchesReferenceOnEveryRgbInput) {
+  // The whole input domain: all 2^24 RGB values through every distinct
+  // runnable row, each float compared byte for byte with srgb_to_lab(Rgb8).
+  // One task per red value converts its 65,536 (g, b) pixels.
+  const auto rows = runnable_rows();
+  constexpr std::size_t kPlane = 256 * 256;
+  std::vector<std::atomic<std::int64_t>> mismatches(rows.size());
+  std::vector<std::atomic<std::int64_t>> fallbacks(rows.size());
+  parallel_for(0, 256, [&](std::int64_t lo, std::int64_t hi) {
+    std::vector<Rgb8> px(kPlane);
+    std::vector<LabF> want(kPlane);
+    std::vector<float> L(kPlane), a(kPlane), b(kPlane);
+    for (std::int64_t red = lo; red < hi; ++red) {
+      for (std::size_t i = 0; i < kPlane; ++i) {
+        px[i] = {static_cast<std::uint8_t>(red),
+                 static_cast<std::uint8_t>(i >> 8),
+                 static_cast<std::uint8_t>(i & 0xff)};
+        want[i] = srgb_to_lab(px[i]);
+      }
+      for (std::size_t k = 0; k < rows.size(); ++k) {
+        fallbacks[k] += rows[k].second(px.data(), kPlane, L.data(), a.data(),
+                                       b.data());
+        std::int64_t bad = 0;
+        for (std::size_t i = 0; i < kPlane; ++i) {
+          bad += std::memcmp(&L[i], &want[i].L, sizeof(float)) != 0 ||
+                 std::memcmp(&a[i], &want[i].a, sizeof(float)) != 0 ||
+                 std::memcmp(&b[i], &want[i].b, sizeof(float)) != 0;
+        }
+        mismatches[k] += bad;
+      }
+    }
+  });
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    SCOPED_TRACE(simd::isa_name(rows[k].first));
+    EXPECT_EQ(mismatches[k].load(), 0);
+    // The guard recomputes only lanes within 1e-12 of a float rounding
+    // boundary: a few hundred of the 2^24 inputs. A guard that fired on a
+    // large share would keep the bytes but lose the speed.
+    EXPECT_LT(fallbacks[k].load(), 4096);
+    RecordProperty(std::string("fallbacks_") + simd::isa_name(rows[k].first),
+                   std::to_string(fallbacks[k].load()));
+  }
+}
+
+TEST(ColorKernels, ResolvedIsaAgreesWithAssignKernels) {
+  // Conversion and the assignment kernels resolve through one ladder, so
+  // the wide event's `isa` (kernels::active_isa()) names what converted the
+  // frame too. AVX2 and AVX-512 run vector rows; scalar, SSE2 and NEON run
+  // the reference row.
+  IsaGuard guard;
+  for (const simd::Isa want :
+       {simd::Isa::kScalar, simd::Isa::kSse2, simd::Isa::kAvx2,
+        simd::Isa::kAvx512, simd::Isa::kNeon}) {
+    SCOPED_TRACE(simd::isa_name(want));
+    simd::set_preferred_isa(want);
+    const simd::Isa resolved = srgb_to_lab_isa();
+    EXPECT_EQ(resolved, kernels::active_isa());
+    const bool vector_row =
+        resolved == simd::Isa::kAvx2 || resolved == simd::Isa::kAvx512;
+    EXPECT_EQ(srgb_to_lab_row(resolved) != srgb_to_lab_row(simd::Isa::kScalar),
+              vector_row);
   }
 }
 
