@@ -1,6 +1,7 @@
 #include "common/ops_server.h"
 
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -270,10 +271,23 @@ void OpsServer::serve_loop() {
 
 void OpsServer::handle_connection(int fd) {
   // Read until the end of the request head (or a small cap — any legal GET
-  // for this server fits well inside it).
+  // for this server fits well inside it). Connections are served one at a
+  // time, so every read waits on the client and the wake pipe together,
+  // under one deadline: an idle client is dropped unanswered, and stop()
+  // ends a pending read.
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(kRequestDeadlineMs);
+  pollfd fds[2] = {{fd, POLLIN, 0}, {wake_pipe_[0], POLLIN, 0}};
   char request[4096];
   std::size_t got = 0;
   while (got < sizeof(request) - 1) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0) return;
+    fds[0].revents = fds[1].revents = 0;
+    const int ready = ::poll(fds, 2, static_cast<int>(left.count()));
+    if (ready < 0 && errno == EINTR) continue;
+    if (ready <= 0 || (fds[1].revents & POLLIN) != 0) return;
     const ssize_t n = ::recv(fd, request + got, sizeof(request) - 1 - got, 0);
     if (n <= 0) break;
     got += static_cast<std::size_t>(n);

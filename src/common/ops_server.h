@@ -27,7 +27,10 @@
 // ops::snapshot_now(), so simply running the server keeps the crash
 // handler's pre-serialized registry snapshot fresh. Connections are served
 // serially (an introspection endpoint, not a web server): tiny GET parse,
-// one write, Connection: close. stop() tickles the wake pipe and joins.
+// one write, Connection: close. A client that has not sent its request
+// within kRequestDeadlineMs is closed unanswered, so an idle connection
+// cannot hold up other scrapes or the snapshots. stop() tickles the wake
+// pipe, which also ends a pending read, and joins.
 //
 // Compile-out: -DSSLIC_OPS=OFF stubs the whole class (start() returns
 // false); runtime disable is simply not starting the server.
@@ -60,6 +63,10 @@ class OpsServer {
     /// than this; 0 disables the watchdog (healthz is then always ok).
     double healthz_deadline_s = 0.0;
   };
+
+  /// Milliseconds a connection has to send its request head before it is
+  /// closed unanswered.
+  static constexpr int kRequestDeadlineMs = 2000;
 
   OpsServer() = default;
   ~OpsServer();

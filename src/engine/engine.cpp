@@ -141,8 +141,7 @@ StreamId StreamEngine::open_stream(StreamOptions options) {
   if (stream->opts.algorithm == StreamAlgorithm::kCpa) {
     stream->cpa.emplace(stream->opts.params);
   } else {
-    stream->temporal.emplace(stream->opts.params, DataWidth::float64(),
-                             stream->opts.warm_iterations);
+    stream->temporal.emplace(stream->opts.params);
   }
 
   std::unique_lock<std::mutex> lock(mutex_);
@@ -260,12 +259,8 @@ SubmitResult StreamEngine::submit(StreamId id, const RgbImage& frame) {
   const auto stream_full = [&] {
     return stream->fifo_count >= stream->slots.size();
   };
-  const auto global_full = [&] {
-    return options_.global_queue_limit != 0 &&
-           global_queued_ >= options_.global_queue_limit;
-  };
 
-  if (stream_full() || global_full()) {
+  if (stream_full()) {
     switch (stream->opts.policy) {
       case AdmissionPolicy::kBlock:
         space_cv_.wait(lock, [&] {
@@ -273,7 +268,7 @@ SubmitResult StreamEngine::submit(StreamId id, const RgbImage& frame) {
           // pointer every wake instead of trusting the cached one.
           stream = find_stream(id);
           return stream == nullptr || stream->closing || stop_ ||
-                 (!stream_full() && !global_full());
+                 !stream_full();
         });
         if (stream == nullptr || stream->closing || stop_) {
           shed_counter_->add();
@@ -293,9 +288,9 @@ SubmitResult StreamEngine::submit(StreamId id, const RgbImage& frame) {
         std::uint64_t dropped_trace_id = 0;
         result.dropped_sequence = drop_oldest_locked(*stream,
                                                      &dropped_trace_id);
-        if (result.dropped_sequence == 0 || global_full()) {
-          // Nothing droppable (queue of 1 with the frame in flight, or the
-          // engine-wide bound is the binding constraint): shed instead.
+        if (result.dropped_sequence == 0) {
+          // Nothing droppable (queue of 1 with the frame in flight): shed
+          // instead.
           result.dropped_sequence = 0;
           ++stream->shed;
           stream->shed_counter->add();
@@ -723,8 +718,6 @@ std::string engine_statusz_json() {
     body += ", \"frames\": " + std::to_string(stats.frames);
     body += ", \"shed\": " + std::to_string(stats.shed);
     body += ", \"dropped\": " + std::to_string(stats.dropped);
-    body += ", \"global_queue_limit\": " +
-            std::to_string(engine->options().global_queue_limit);
     body += "}";
   }
   body += "]}";

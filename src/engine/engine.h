@@ -13,14 +13,14 @@
 // takes the serial code path, which the determinism contract makes
 // bit-identical to every parallel path.
 //
-// Admission control: every stream has a bounded queue (queue_limit slots)
-// and the engine an optional global bound. A full queue is resolved by the
-// stream's AdmissionPolicy — kBlock (backpressure: submit() waits for
-// space), kShed (reject the new frame, bump the shed counter), or
-// kDropOldest (evict the oldest *queued* frame — never the one in flight —
-// to admit the new one). Shed and dropped frames are counted per stream
-// and per engine, and drops are reported synchronously through the
-// stream's completion callback with `dropped = true`.
+// Admission control: every stream has a bounded queue (queue_limit slots).
+// A full queue is resolved by the stream's AdmissionPolicy — kBlock
+// (backpressure: submit() waits for space), kShed (reject the new frame,
+// bump the shed counter), or kDropOldest (evict the oldest *queued* frame —
+// never the one in flight — to admit the new one). Shed and dropped frames
+// are counted per stream and per engine, and drops are reported
+// synchronously through the stream's completion callback with
+// `dropped = true`.
 //
 // Zero-allocation steady state: all admission slots, batch scratch, and
 // per-stream working buffers are grow-only and sized on first use, so a
@@ -69,8 +69,7 @@
 
 namespace sslic::engine {
 
-/// What happens when a frame arrives and its stream queue (or the engine's
-/// global bound) is full.
+/// What happens when a frame arrives and its stream queue is full.
 enum class AdmissionPolicy {
   kBlock = 0,      ///< backpressure: submit() blocks until space frees up
   kShed = 1,       ///< reject the new frame (caller sees SubmitStatus::kShed)
@@ -158,10 +157,6 @@ struct StreamOptions {
   /// the TemporalSlic contract). Frame 1, a geometry change, or
   /// reset_stream() falls back to cold grid seeding.
   bool temporal_warm = true;
-  /// Iteration budget for warm frames; 0 picks the TemporalSlic default
-  /// (half the cold budget, at least one full subset round-robin).
-  /// open_stream() rejects a negative value (PPA streams).
-  int warm_iterations = 0;
   /// Bounded admission queue depth (>= 1), the frame in flight included.
   std::size_t queue_limit = 4;
   AdmissionPolicy policy = AdmissionPolicy::kBlock;
@@ -178,8 +173,6 @@ struct StreamOptions {
 };
 
 struct EngineOptions {
-  /// Cap on frames queued across all streams; 0 = only per-stream bounds.
-  std::size_t global_queue_limit = 0;
   /// Tick ops::heartbeat() every scheduler cycle (~1 Hz when idle) so
   /// /healthz covers the engine. Disable when another component owns the
   /// process heartbeat (e.g. video_pipeline beats per frame).
@@ -222,7 +215,7 @@ class StreamEngine {
 
   /// Opens a stream and allocates its queue slots + warm state. May
   /// allocate freely (open is not steady state). Throws ContractViolation
-  /// on invalid options (including a negative PPA warm_iterations).
+  /// on invalid options.
   [[nodiscard]] StreamId open_stream(StreamOptions options);
 
   /// Drains the stream's queued frames (completions still fire), then

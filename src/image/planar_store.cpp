@@ -51,7 +51,7 @@ void PlanarStore::open(int width, int height, bool with_min_dist,
   const std::size_t i32_plane = round_up_page(n * sizeof(std::int32_t));
   const std::size_t f64_plane =
       with_min_dist ? round_up_page(n * sizeof(double)) : 0;
-  total_bytes_ = 3 * f32_plane + 2 * i32_plane + f64_plane;
+  total_bytes_ = 3 * f32_plane + i32_plane + f64_plane;
 
   void* mapped = MAP_FAILED;
   if (config.spill_to_disk) {
@@ -96,8 +96,6 @@ void PlanarStore::open(int width, int height, bool with_min_dist,
   cursor += f32_plane;
   labels_ = reinterpret_cast<std::int32_t*>(cursor);
   cursor += i32_plane;
-  labels_out_ = reinterpret_cast<std::int32_t*>(cursor);
-  cursor += i32_plane;
   min_dist_ = with_min_dist ? reinterpret_cast<double*>(cursor) : nullptr;
 }
 
@@ -112,7 +110,6 @@ void PlanarStore::close() {
   lab_a_ = nullptr;
   lab_b_ = nullptr;
   labels_ = nullptr;
-  labels_out_ = nullptr;
   min_dist_ = nullptr;
 }
 
@@ -130,9 +127,6 @@ std::byte* PlanarStore::plane_base(Plane plane, std::size_t* elem_size) const {
     case Plane::kLabels:
       *elem_size = sizeof(std::int32_t);
       return reinterpret_cast<std::byte*>(labels_);
-    case Plane::kLabelsOut:
-      *elem_size = sizeof(std::int32_t);
-      return reinterpret_cast<std::byte*>(labels_out_);
     case Plane::kMinDist:
       *elem_size = sizeof(double);
       return reinterpret_cast<std::byte*>(min_dist_);
@@ -167,10 +161,18 @@ void PlanarStore::release_plane_rows(Plane plane, int y0, int y1) {
                 base + static_cast<std::size_t>(y1) * row_bytes);
 }
 
+void PlanarStore::release_bytes(const void* begin, const void* end) {
+  if (!disk_backed_ || base_ == nullptr) return;
+  const auto* lo = static_cast<const std::byte*>(begin);
+  const auto* hi = static_cast<const std::byte*>(end);
+  SSLIC_CHECK(base_ <= lo && lo <= hi && hi <= base_ + total_bytes_);
+  release_range(lo, hi);
+}
+
 void PlanarStore::release_rows(int y0, int y1) {
   if (!disk_backed_ || base_ == nullptr) return;
-  for (const Plane plane : {Plane::kLabL, Plane::kLabA, Plane::kLabB,
-                            Plane::kLabels, Plane::kLabelsOut}) {
+  for (const Plane plane :
+       {Plane::kLabL, Plane::kLabA, Plane::kLabB, Plane::kLabels}) {
     release_plane_rows(plane, y0, y1);
   }
   if (min_dist_ != nullptr) release_plane_rows(Plane::kMinDist, y0, y1);

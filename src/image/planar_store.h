@@ -1,8 +1,8 @@
 // Out-of-core planar pixel store for the tiled segmentation driver.
 //
 // The monolithic segmenters materialize every working plane (Lab channel
-// planes, label map, min-distance buffer) as heap vectors — ~28 bytes per
-// pixel, which caps the input size at available RAM. `PlanarStore` provides
+// planes, label map, min-distance buffer, connectivity run records) as heap
+// vectors, which caps the input size at available RAM. `PlanarStore` provides
 // the same planes as flat row-major rasters backed either by anonymous
 // memory (fits-in-memory mode; behaves exactly like the heap buffers) or by
 // an unlinked temporary file mapped MAP_SHARED (spill mode). In spill mode
@@ -20,10 +20,13 @@
 namespace sslic {
 
 /// Flat planar backing of one tiled segmentation run: three float Lab
-/// channel planes, two int32 label planes (working + connectivity output),
-/// and an optional double min-distance plane. All planes share one mapping
-/// and are laid out as full-width row-major rasters, so kernel calls use
-/// the same `base + y*w + x` addressing as the in-memory path.
+/// channel planes, one int32 label plane and an optional double
+/// min-distance plane, 16 bytes per pixel (24 with the min-distance plane).
+/// All planes share one mapping and are laid out as full-width row-major
+/// rasters, so kernel calls use the same `base + y*w + x` addressing as the
+/// in-memory path. The Lab planes are adjacent, L then a then b from
+/// lab_l(): one region of at least 12 bytes per pixel, which the tiled
+/// driver reuses for connectivity's run records once the iterations end.
 class PlanarStore {
  public:
   struct Config {
@@ -61,9 +64,6 @@ class PlanarStore {
   [[nodiscard]] float* lab_a() { return lab_a_; }
   [[nodiscard]] float* lab_b() { return lab_b_; }
   [[nodiscard]] std::int32_t* labels() { return labels_; }
-  /// Second label plane: the flood-fill connectivity pass
-  /// (enforce_connectivity_span) writes its relabelled output here.
-  [[nodiscard]] std::int32_t* labels_out() { return labels_out_; }
   /// Null unless opened with `with_min_dist`.
   [[nodiscard]] double* min_dist() { return min_dist_; }
 
@@ -74,9 +74,13 @@ class PlanarStore {
   void release_rows(int y0, int y1);
 
   /// release_rows for one plane only (e.g. drop Lab rows while the label
-  /// planes are still being drained).
-  enum class Plane { kLabL, kLabA, kLabB, kLabels, kLabelsOut, kMinDist };
+  /// plane is still being drained).
+  enum class Plane { kLabL, kLabA, kLabB, kLabels, kMinDist };
   void release_plane_rows(Plane plane, int y0, int y1);
+
+  /// Drops the resident pages inside the bytes [begin, end) of the mapping,
+  /// rounded inward like release_rows (disk-backed stores only).
+  void release_bytes(const void* begin, const void* end);
 
  private:
   void release_range(const std::byte* begin, const std::byte* end);
@@ -92,7 +96,6 @@ class PlanarStore {
   float* lab_a_ = nullptr;
   float* lab_b_ = nullptr;
   std::int32_t* labels_ = nullptr;
-  std::int32_t* labels_out_ = nullptr;
   double* min_dist_ = nullptr;
 };
 

@@ -1,11 +1,13 @@
 #include "slic/connectivity.h"
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "common/check.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
+#include "slic/iteration.h"
 
 namespace sslic {
 namespace {
@@ -60,111 +62,59 @@ void union_rows(const std::int32_t* plane, int w, int y,
   }
 }
 
-}  // namespace
+// Page release behind one cursor of the pass, through the planes' hook,
+// kReleaseStride rows at a time. Label rows go as soon as the cursor is
+// past them; run records, which root lookups revisit, `look_back` rows
+// later. Record ranges come from the prefix sums, so the counting phase
+// releases labels only.
+enum Held { kLabels = 1, kRuns = 2 };
+class Release {
+ public:
+  Release(const ConnectivityPlanes& planes, int held, int y0)
+      : p_(planes),
+        labels_(held & kLabels ? y0 : planes.height),
+        runs_(held & kRuns ? y0 : planes.height) {}
 
-ConnectivityResult enforce_connectivity_span(
-    const std::int32_t* labels, std::int32_t* out, int w, int h,
-    int expected_superpixels, ConnectivitySpanScratch& scratch,
-    const std::function<void(int y)>& on_row_done, bool out_prefilled) {
-  SSLIC_CHECK(expected_superpixels >= 1);
-  SSLIC_CHECK(w > 0 && h > 0);
-  SSLIC_CHECK(labels != nullptr && out != nullptr && labels != out);
-  const std::size_t n = static_cast<std::size_t>(w) * static_cast<std::size_t>(h);
-  const std::size_t min_size =
-      std::max<std::size_t>(1, n / static_cast<std::size_t>(expected_superpixels) / 4);
-
-  if (!out_prefilled) std::fill(out, out + n, std::int32_t{-1});
-  std::vector<std::int64_t>& stack = scratch.stack;
-  std::vector<std::int64_t>& member_indices = scratch.members;
-  ConnectivityResult result;
-  std::int32_t next_label = 0;
-  const auto stride = static_cast<std::int64_t>(w);
-  const auto at = [&](int x, int y) -> std::int64_t {
-    return static_cast<std::int64_t>(y) * stride + x;
-  };
-
-  for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      if (out[at(x, y)] >= 0) continue;
-
-      // The component merged into when this one turns out to be a stray
-      // fragment: the most recent already-relabelled 4-neighbour in scan
-      // order (exists for every component except the first).
-      std::int32_t adjacent_label = next_label > 0 ? 0 : -1;
-      for (int d = 0; d < 4; ++d) {
-        const int nx2 = x + kDx[d];
-        const int ny2 = y + kDy[d];
-        if (nx2 >= 0 && nx2 < w && ny2 >= 0 && ny2 < h && out[at(nx2, ny2)] >= 0)
-          adjacent_label = out[at(nx2, ny2)];
-      }
-
-      // Flood-fill this component under the original labelling. Members are
-      // recorded only while the component could still be absorbed (fewer
-      // than min_size pixels seen) — a larger component keeps its label, so
-      // tracking its remaining members would only burn memory.
-      const std::int32_t original = labels[at(x, y)];
-      out[at(x, y)] = next_label;
-      stack.clear();
-      stack.push_back(at(x, y));
-      member_indices.clear();
-      member_indices.push_back(stack.back());
-      std::size_t member_count = 1;
-      while (!stack.empty()) {
-        const std::int64_t flat = stack.back();
-        stack.pop_back();
-        const int cx = static_cast<int>(flat % stride);
-        const int cy = static_cast<int>(flat / stride);
-        for (int d = 0; d < 4; ++d) {
-          const int nx2 = cx + kDx[d];
-          const int ny2 = cy + kDy[d];
-          if (nx2 < 0 || nx2 >= w || ny2 < 0 || ny2 >= h) continue;
-          const std::int64_t nf = at(nx2, ny2);
-          if (out[nf] >= 0 || labels[nf] != original) continue;
-          out[nf] = next_label;
-          stack.push_back(nf);
-          if (member_count < min_size) member_indices.push_back(nf);
-          ++member_count;
-        }
-      }
-
-      if (member_count < min_size && adjacent_label >= 0) {
-        for (const std::int64_t flat : member_indices) out[flat] = adjacent_label;
-        result.components_merged += 1;
-        result.pixels_moved += member_count;
-      } else {
-        ++next_label;
-      }
+  // Rows above `y` are done; `all` also drops the look-back and the
+  // remainder of a stride, for a cursor that reads none of them again.
+  void behind(int y, bool all = false) {
+    if (p_.release == nullptr) return;
+    const int stride = all ? 1 : kReleaseStride;
+    if (y - labels_ >= stride) {
+      p_.release(p_.release_context, row_of(p_.labels, p_.width, labels_),
+                 row_of(p_.labels, p_.width, y));
+      labels_ = y;
     }
-    if (on_row_done) on_row_done(y);
+    const int upto = all ? y : y - p_.look_back;
+    if (upto - runs_ >= stride) {
+      p_.release(p_.release_context, p_.runs + p_.row_begin[runs_],
+                 p_.runs + p_.row_begin[upto]);
+      runs_ = upto;
+    }
   }
 
-  result.final_label_count = next_label;
-  return result;
-}
+ private:
+  const ConnectivityPlanes& p_;
+  int labels_;  // first label row not yet released
+  int runs_;    // first row whose records are not yet released
+};
 
-ConnectivityResult enforce_connectivity(LabelImage& labels,
-                                        int expected_superpixels,
-                                        ConnectivityScratch* scratch) {
+}  // namespace
+
+ConnectivityResult enforce_connectivity(const ConnectivityPlanes& planes,
+                                        int expected_superpixels) {
   SSLIC_CHECK(expected_superpixels >= 1);
-  const int w = labels.width();
-  const int h = labels.height();
+  const int w = planes.width;
+  const int h = planes.height;
   SSLIC_CHECK(w > 0 && h > 0);
-  const std::size_t n = labels.size();
-  SSLIC_CHECK_MSG(n < (std::size_t{1} << 31),
-                  "enforce_connectivity indexes runs with int32; a "
-                      << w << 'x' << h
-                      << " raster needs TiledSegmenter's 64-bit pass");
+  SSLIC_CHECK(planes.labels != nullptr && planes.runs != nullptr &&
+              planes.row_begin != nullptr);
+  const std::size_t n = static_cast<std::size_t>(w) * static_cast<std::size_t>(h);
   const std::size_t min_size = std::max<std::size_t>(
       1, n / static_cast<std::size_t>(expected_superpixels) / 4);
-
-  ConnectivityScratch local_scratch;
-  ConnectivityScratch& sc = scratch != nullptr ? *scratch : local_scratch;
-  // Worst case is one run per pixel. Reserving it once per image size keeps
-  // every later call allocation-free; untouched records never get paged in.
-  sc.runs.reserve(n);
-  sc.row_begin.resize(static_cast<std::size_t>(h) + 1);
-  std::int32_t* const plane = labels.pixels().data();
-  std::int32_t* const row_begin = sc.row_begin.data();
+  std::int32_t* const plane = planes.labels;
+  std::int32_t* const row_begin = planes.row_begin;
+  Run* const runs = planes.runs;
 
   // One band per pool thread. Roots are minimum run indices whatever the
   // banding, so the band count cannot change a byte.
@@ -189,21 +139,32 @@ ConnectivityResult enforce_connectivity(LabelImage& labels,
   // Phase 1 (bands): runs per row, stored one slot ahead for the prefix sum.
   for_each_band([&](int y0, int y1) {
     SSLIC_TRACE_SCOPE_AT(1, "connectivity.count", y0);
+    Release done(planes, kLabels, y0);
     for (int y = y0; y < y1; ++y) {
       const std::int32_t* row = row_of(plane, w, y);
       std::int32_t count = 1;
       for (int x = 1; x < w; ++x) count += row[x] != row[x - 1] ? 1 : 0;
       row_begin[y + 1] = count;
+      done.behind(y + 1);
     }
+    done.behind(y1, true);
   });
+  // Runs are counted in 64 bits; the records index them with int32.
   row_begin[0] = 0;
-  for (int y = 0; y < h; ++y) row_begin[y + 1] += row_begin[y];
-  sc.runs.resize(static_cast<std::size_t>(row_begin[h]));
-  Run* const runs = sc.runs.data();
+  std::int64_t num_runs = 0;
+  for (int y = 0; y < h; ++y) {
+    num_runs += row_begin[y + 1];
+    row_begin[y + 1] = static_cast<std::int32_t>(num_runs);
+  }
+  SSLIC_CHECK_MSG(num_runs < (std::int64_t{1} << 31),
+                  "connectivity indexes row runs with int32; the "
+                      << w << 'x' << h << " raster has " << num_runs
+                      << " runs, past the limit of 2^31 - 1");
 
   // Phase 2 (bands): write the runs, then union the rows inside the band.
   for_each_band([&](int y0, int y1) {
     SSLIC_TRACE_SCOPE_AT(1, "connectivity.runs", y0);
+    Release done(planes, kLabels | kRuns, y0);
     for (int y = y0; y < y1; ++y) {
       const std::int32_t* row = row_of(plane, w, y);
       const std::int32_t first = row_begin[y];
@@ -225,7 +186,9 @@ ConnectivityResult enforce_connectivity(LabelImage& labels,
         runs[r].value = end - runs[r].x;
       }
       if (y > y0) union_rows(plane, w, y, row_begin, runs);
+      done.behind(y);  // row y is the row above y + 1
     }
+    done.behind(y1, true);
   });
 
   // Phase 3: union across the band seams.
@@ -236,13 +199,19 @@ ConnectivityResult enforce_connectivity(LabelImage& labels,
 
   // Phase 4: resolve every run to its root in one ascending pass (a parent
   // is always a smaller, already-resolved index) and sum region sizes.
-  const std::int32_t num_runs = row_begin[h];
-  for (std::int32_t r = 0; r < num_runs; ++r) {
-    const std::int32_t parent = runs[r].parent;
-    if (parent == r) continue;
-    const std::int32_t root = runs[parent].parent;
-    runs[r].parent = root;
-    runs[root].value += runs[r].value;
+  {
+    Release done(planes, kRuns, 0);
+    for (int y = 0; y < h; ++y) {
+      for (std::int32_t r = row_begin[y]; r < row_begin[y + 1]; ++r) {
+        const std::int32_t parent = runs[r].parent;
+        if (parent == r) continue;
+        const std::int32_t root = runs[parent].parent;
+        runs[r].parent = root;
+        runs[root].value += runs[r].value;
+      }
+      done.behind(y + 1);
+    }
+    done.behind(h, true);
   }
 
   // Phase 5: replay the flood fill's absorption rule over the roots in
@@ -255,58 +224,94 @@ ConnectivityResult enforce_connectivity(LabelImage& labels,
   // the first pixel; roots come in raster order, so they only move forward.
   ConnectivityResult result;
   std::int32_t next_label = 0;
-  int y = 0;  // row of root r
-  std::int32_t up = 0;
-  std::int32_t down = 0;
-  for (std::int32_t r = 0; r < num_runs; ++r) {
-    if (runs[r].parent != r) continue;
-    while (row_begin[y + 1] <= r) ++y;
-    const auto size = static_cast<std::size_t>(runs[r].value);
-    if (size >= min_size) {
-      runs[r].value = next_label++;
-      continue;
+  {
+    Release done(planes, kRuns, 0);
+    std::int32_t up = 0;
+    std::int32_t down = 0;
+    for (int y = 0; y < h; ++y) {
+      for (std::int32_t r = row_begin[y]; r < row_begin[y + 1]; ++r) {
+        if (runs[r].parent != r) continue;
+        const auto size = static_cast<std::size_t>(runs[r].value);
+        if (size >= min_size) {
+          runs[r].value = next_label++;
+          continue;
+        }
+        const int x = runs[r].x;
+        std::int32_t neighbour = -1;  // root of the region to absorb into
+        if (y + 1 < h) {
+          down = std::max(down, row_begin[y + 1]);
+          while (down + 1 < row_begin[y + 2] && runs[down + 1].x <= x) ++down;
+          if (runs[down].parent < r) neighbour = runs[down].parent;
+        }
+        if (neighbour < 0 && y > 0) {
+          up = std::max(up, row_begin[y - 1]);
+          while (up + 1 < row_begin[y] && runs[up + 1].x <= x) ++up;
+          neighbour = runs[up].parent;
+        }
+        if (neighbour < 0 && r + 1 < row_begin[y + 1] &&
+            runs[r + 1].x == x + 1 && runs[r + 1].parent < r)
+          neighbour = runs[r + 1].parent;
+        if (neighbour < 0 && x > 0) neighbour = runs[r - 1].parent;
+        const std::int32_t adjacent_label =
+            neighbour >= 0 ? runs[neighbour].value : (next_label > 0 ? 0 : -1);
+        if (adjacent_label >= 0) {
+          runs[r].value = adjacent_label;
+          result.components_merged += 1;
+          result.pixels_moved += size;
+        } else {
+          runs[r].value = next_label++;
+        }
+      }
+      done.behind(y);  // row y is the row above y + 1
     }
-    const int x = runs[r].x;
-    std::int32_t neighbour = -1;  // root of the region to absorb into
-    if (y + 1 < h) {
-      down = std::max(down, row_begin[y + 1]);
-      while (down + 1 < row_begin[y + 2] && runs[down + 1].x <= x) ++down;
-      if (runs[down].parent < r) neighbour = runs[down].parent;
-    }
-    if (neighbour < 0 && y > 0) {
-      up = std::max(up, row_begin[y - 1]);
-      while (up + 1 < row_begin[y] && runs[up + 1].x <= x) ++up;
-      neighbour = runs[up].parent;
-    }
-    if (neighbour < 0 && r + 1 < row_begin[y + 1] && runs[r + 1].x == x + 1 &&
-        runs[r + 1].parent < r)
-      neighbour = runs[r + 1].parent;
-    if (neighbour < 0 && x > 0) neighbour = runs[r - 1].parent;
-    const std::int32_t adjacent_label =
-        neighbour >= 0 ? runs[neighbour].value : (next_label > 0 ? 0 : -1);
-    if (adjacent_label >= 0) {
-      runs[r].value = adjacent_label;
-      result.components_merged += 1;
-      result.pixels_moved += size;
-    } else {
-      runs[r].value = next_label++;
-    }
+    done.behind(h, true);
   }
   result.final_label_count = next_label;
 
   // Phase 6 (bands): write every run's final label over its raw one.
   for_each_band([&](int y0, int y1) {
     SSLIC_TRACE_SCOPE_AT(1, "connectivity.relabel", y0);
-    for (int row_y = y0; row_y < y1; ++row_y) {
-      std::int32_t* row = row_of(plane, w, row_y);
-      const std::int32_t last = row_begin[row_y + 1] - 1;
-      for (std::int32_t r = row_begin[row_y]; r <= last; ++r) {
+    Release done(planes, kLabels | kRuns, y0);
+    for (int y = y0; y < y1; ++y) {
+      std::int32_t* row = row_of(plane, w, y);
+      const std::int32_t last = row_begin[y + 1] - 1;
+      for (std::int32_t r = row_begin[y]; r <= last; ++r) {
         const int x1 = r < last ? runs[r + 1].x : w;
         std::fill(row + runs[r].x, row + x1, runs[runs[r].parent].value);
       }
+      done.behind(y + 1);
     }
+    done.behind(y1, true);
   });
   return result;
+}
+
+ConnectivityResult enforce_connectivity(LabelImage& labels,
+                                        int expected_superpixels,
+                                        ConnectivityScratch* scratch) {
+  const int w = labels.width();
+  const int h = labels.height();
+  const std::size_t n = labels.size();
+  SSLIC_CHECK_MSG(n < (std::size_t{1} << 31),
+                  "enforce_connectivity takes rasters under 2^31 pixels; a "
+                      << w << 'x' << h << " raster goes through TiledSegmenter");
+
+  ConnectivityScratch local_scratch;
+  ConnectivityScratch& sc = scratch != nullptr ? *scratch : local_scratch;
+  // Worst case is one run per pixel. Allocating it once per image size
+  // keeps every later call allocation-free; untouched records never get
+  // paged in.
+  if (sc.run_capacity < n) {
+    sc.runs = std::make_unique_for_overwrite<Run[]>(n);
+    sc.run_capacity = n;
+  }
+  sc.row_begin.resize(static_cast<std::size_t>(h) + 1);
+  return enforce_connectivity({.labels = labels.pixels().data(),
+                               .width = w,
+                               .height = h,
+                               .runs = sc.runs.get(),
+                               .row_begin = sc.row_begin.data()},
+                              expected_superpixels);
 }
 
 bool is_fully_connected(const LabelImage& labels) {

@@ -15,17 +15,18 @@
 //      earlier, so that is down if it starts earlier, else up; in row 0,
 //      right if it starts earlier, else left.
 //
-// Two implementations produce these bytes. enforce_connectivity runs a
-// union-find over row runs (maximal same-label segments of one row): the
-// per-pixel phases run on the thread pool in row bands, and the absorption
-// rule is replayed serially over the region roots only. The scan-order flood
-// fill enforce_connectivity_span is the out-of-core tiled driver's pass,
-// which streams rows and needs no O(runs) memory, and the tests' oracle for
-// the run pass.
+// enforce_connectivity is the one implementation. It runs a union-find
+// over row runs (maximal same-label segments of one row): the per-pixel
+// phases run on the thread pool in row bands, and the absorption rule is
+// replayed serially over the region roots only. Resident images give it
+// heap records; the out-of-core tiled driver gives it records laid over
+// its spill file's dead Lab planes and a hook that releases pages behind
+// every cursor. The tests keep a scan-order flood fill as its oracle.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <vector>
 
 #include "image/image.h"
@@ -38,23 +39,11 @@ struct ConnectivityResult {
   std::size_t pixels_moved = 0; ///< pixels whose label changed by merging
 };
 
-/// Working buffers of the span-core relabelling pass. Flat indices are
-/// 64-bit so the pass addresses rasters beyond 2^31 pixels (the out-of-core
-/// tiled driver runs it over gigapixel label planes). The vectors grow on
-/// demand; `members` records at most min_size entries per component (once a
-/// component is provably large it can never be absorbed, so its remaining
-/// members need no tracking) — which keeps the worst case proportional to
-/// the fragment threshold, not the image.
-struct ConnectivitySpanScratch {
-  std::vector<std::int64_t> stack;    ///< flood-fill worklist (flat indices)
-  std::vector<std::int64_t> members;  ///< current component's flat indices
-};
-
 /// Reusable working buffers of enforce_connectivity. A caller that keeps
 /// one of these across frames (e.g. TemporalSlic's IterationScratch) makes
-/// the pass allocation-free at steady state: `runs` is reserved for the
-/// worst case, one run per pixel, on the first call per image size, and
-/// only the records a frame writes become resident.
+/// the pass allocation-free at steady state: `runs` is allocated for the
+/// worst case, one run per pixel, on the first call per image size, left
+/// uninitialized, and only the records a frame writes become resident.
 struct ConnectivityScratch {
   /// One row run, 12 bytes. Its label is read back from the label plane
   /// and its end is the next run's start (or the row end).
@@ -64,32 +53,45 @@ struct ConnectivityScratch {
     /// Run length, then the region's size (roots), then its final label.
     std::int32_t value;
   };
-  std::vector<Run> runs;                ///< raster order
+  std::unique_ptr<Run[]> runs;          ///< raster order
+  std::size_t run_capacity = 0;         ///< records `runs` has room for
   std::vector<std::int32_t> row_begin;  ///< h + 1 entries: first run per row
 };
 
-/// Span core of the connectivity pass: relabels `labels` (w x h, row-major)
-/// into `out` by the scan-order flood fill, over raw planes so callers can
-/// run it on memory-mapped label rasters without materializing a
-/// LabelImage. `out` must not alias `labels`; it is fully overwritten.
-/// `on_row_done` (optional) fires after each completed scan row — the
-/// out-of-core driver uses it to drop resident pages behind the scan
-/// cursor. `out_prefilled` skips the initial fill of `out` with -1; the
-/// caller must have done it (the out-of-core driver prefills in released
-/// row chunks so the whole plane never sits dirty-resident at once).
-ConnectivityResult enforce_connectivity_span(
-    const std::int32_t* labels, std::int32_t* out, int w, int h,
-    int expected_superpixels, ConnectivitySpanScratch& scratch,
-    const std::function<void(int y)>& on_row_done = {},
-    bool out_prefilled = false);
+/// The buffers of one connectivity pass, in the PlaneView idiom of
+/// slic/iteration.h: a row-major label plane, relabelled in place; a
+/// run-record buffer; and a release hook.
+struct ConnectivityPlanes {
+  std::int32_t* labels = nullptr;  ///< width x height, addressed y * width + x
+  int width = 0;
+  int height = 0;
+  /// Room for one record per pixel, the worst case. Records are written in
+  /// raster order, so only the first runs-many are ever touched.
+  ConnectivityScratch::Run* runs = nullptr;
+  std::int32_t* row_begin = nullptr;  ///< height + 1 entries of workspace
+  /// Drops the resident pages of bytes [begin, end), label rows and run
+  /// records, behind every cursor; they refault intact if read again. Null
+  /// for resident images; the tiled driver passes PlanarStore page release.
+  void (*release)(void* context, const void* begin, const void* end) = nullptr;
+  void* release_context = nullptr;
+  /// Rows of records each cursor keeps behind it: root lookups revisit
+  /// them, so a window-sized look-back limits refaults. No byte depends on it.
+  int look_back = 0;
+};
 
-/// Enforces 4-connectivity in place with the run union-find pass.
+/// Enforces 4-connectivity in place over `planes` with the run union-find.
 /// `expected_superpixels` sets the minimum-fragment threshold to
 /// (N / expected_superpixels) / 4, matching the reference SLIC
-/// implementation. Output labels are compact (0..n-1) and byte-identical to
-/// enforce_connectivity_span's at every thread count. Run indices are 32-bit,
-/// so rasters of 2^31 pixels or more go through TiledSegmenter. `scratch` is
-/// optional; passing one amortizes all working allocations across calls.
+/// implementation. Output labels are compact (0..n-1) and the same bytes at
+/// every thread count. Pixel offsets are 64-bit; runs are counted in 64
+/// bits but indexed with int32, so a raster with 2^31 runs or more is
+/// rejected.
+ConnectivityResult enforce_connectivity(const ConnectivityPlanes& planes,
+                                        int expected_superpixels);
+
+/// The same pass over a resident image. Rasters of 2^31 pixels or more go
+/// through TiledSegmenter. `scratch` is optional; passing one amortizes all
+/// working allocations across calls.
 ConnectivityResult enforce_connectivity(LabelImage& labels,
                                         int expected_superpixels,
                                         ConnectivityScratch* scratch = nullptr);

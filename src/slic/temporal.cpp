@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/check.h"
 #include "common/trace.h"
 #include "slic/subset_schedule.h"
 
@@ -11,20 +10,15 @@ namespace sslic {
 
 namespace {
 
-SlicParams with_warm_budget(SlicParams params, int warm_iterations) {
-  SSLIC_CHECK(warm_iterations >= 0);
-  params.max_iterations = warm_iterations > 0
-                              ? warm_iterations
-                              : TemporalSlic::default_warm_iterations(params);
+SlicParams with_warm_budget(SlicParams params) {
+  params.max_iterations = TemporalSlic::default_warm_iterations(params);
   return params;
 }
 
 }  // namespace
 
-TemporalSlic::TemporalSlic(SlicParams params, DataWidth data_width,
-                           int warm_iterations)
-    : cold_(params, data_width),
-      warm_(with_warm_budget(params, warm_iterations), data_width) {}
+TemporalSlic::TemporalSlic(SlicParams params, DataWidth data_width)
+    : cold_(params, data_width), warm_(with_warm_budget(params), data_width) {}
 
 int TemporalSlic::default_warm_iterations(const SlicParams& params) {
   const int subsets =

@@ -24,13 +24,11 @@ namespace sslic {
 /// Stateful frame-to-frame S-SLIC segmenter with warm starting.
 class TemporalSlic {
  public:
-  /// `warm_iterations` is the (smaller) iteration budget used when warm
-  /// state is available; 0 picks half the cold budget (at least one full
-  /// round-robin of the subsets). Invalid params or a negative
-  /// `warm_iterations` throw ContractViolation here, not at the first frame.
+  /// Warm frames run default_warm_iterations(params), a smaller budget
+  /// than cold ones. Invalid params throw ContractViolation here, not at
+  /// the first frame.
   explicit TemporalSlic(SlicParams params,
-                        DataWidth data_width = DataWidth::float64(),
-                        int warm_iterations = 0);
+                        DataWidth data_width = DataWidth::float64());
 
   /// Segments the next frame of the stream. The returned reference points
   /// at internal state that stays valid until the next call (or
@@ -39,8 +37,8 @@ class TemporalSlic {
   [[nodiscard]] const Segmentation& next_frame(
       const RgbImage& frame, Instrumentation* instrumentation = nullptr);
 
-  /// The warm iteration budget a 0 `warm_iterations` resolves to: half the
-  /// cold budget, at least one full round-robin of the subsets. Exposed so
+  /// The warm iteration budget: half the cold budget, at least one full
+  /// round-robin of the subsets. Exposed so
   /// stage-by-stage replays of a stream (perfbench/traced.cpp) match this
   /// segmenter byte for byte.
   [[nodiscard]] static int default_warm_iterations(const SlicParams& params);

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -119,9 +118,13 @@ void release_store_rows(void* store, int y0, int y1) {
   static_cast<PlanarStore*>(store)->release_rows(y0, y1);
 }
 
+void release_store_bytes(void* store, const void* begin, const void* end) {
+  static_cast<PlanarStore*>(store)->release_bytes(begin, end);
+}
+
 /// One tiled segmentation over an open PlanarStore: the shared iteration
 /// core (slic/iteration.h) over the store's planes and the tile grid, then
-/// the flood-fill connectivity pass over the raw label plane.
+/// the shared connectivity pass, in place over the label plane.
 class TiledRun {
  public:
   TiledRun(Algorithm algorithm, const SlicParams& params,
@@ -135,7 +138,7 @@ class TiledRun {
         stats_(stats),
         grid_(store.width(), store.height(), params.num_superpixels) {}
 
-  void run(Segmentation& result, const std::int32_t** final_labels) {
+  void run(Segmentation& result) {
     instr_ = Instrumentation{};
     result.centers.clear();
 
@@ -160,7 +163,7 @@ class TiledRun {
     } else {
       run_cpa(planes, regions, params_, init_stage, result, scratch_, instr_);
     }
-    *final_labels = finalize();
+    finalize();
 
     stats_.used_tiled_path = true;
     stats_.tiles_x = geo_.tiles_x;
@@ -172,61 +175,39 @@ class TiledRun {
   }
 
  private:
-  const std::int32_t* finalize() {
-    const int w = store_.width();
+  // Relabels the label plane in place.
+  void finalize() {
     const int h = store_.height();
     if (!params_.enforce_connectivity) {
       stats_.final_label_count = grid_.num_centers();
-      return store_.labels();
+      return;
     }
     trace::Interval connectivity_stage;
+    // The Lab and min-distance planes are dead from here on; the pass
+    // refaults the label rows it reads. The run records reuse the Lab
+    // planes: 12 bytes per pixel, one record each.
+    store_.release_rows(0, h);
+    static_assert(sizeof(ConnectivityScratch::Run) == 3 * sizeof(float));
+    std::vector<std::int32_t> row_begin(static_cast<std::size_t>(h) + 1);
+    ConnectivityPlanes planes;
+    planes.labels = store_.labels();
+    planes.width = store_.width();
+    planes.height = h;
+    planes.runs = reinterpret_cast<ConnectivityScratch::Run*>(store_.lab_l());
+    planes.row_begin = row_begin.data();
     if (store_.disk_backed()) {
-      // The Lab and min-distance planes are dead from here on.
-      store_.release_plane_rows(PlanarStore::Plane::kLabL, 0, h);
-      store_.release_plane_rows(PlanarStore::Plane::kLabA, 0, h);
-      store_.release_plane_rows(PlanarStore::Plane::kLabB, 0, h);
-      if (store_.min_dist() != nullptr)
-        store_.release_plane_rows(PlanarStore::Plane::kMinDist, 0, h);
+      planes.release = &release_store_bytes;
+      planes.release_context = &store_;
+      // Root lookups reach back about one superpixel window.
+      planes.look_back =
+          2 * std::max(1, static_cast<int>(std::lround(grid_.spacing()))) + 2;
     }
-    // Prefill the output plane with -1 in released row chunks; a single
-    // whole-plane fill would leave every page dirty-resident at once.
-    std::int32_t* const out = store_.labels_out();
-    for (int y0 = 0; y0 < h; y0 += kReleaseStride) {
-      const int y1 = std::min(h, y0 + kReleaseStride);
-      std::memset(out + static_cast<std::size_t>(y0) * static_cast<std::size_t>(w),
-                  0xFF,
-                  static_cast<std::size_t>(y1 - y0) *
-                      static_cast<std::size_t>(w) * sizeof(std::int32_t));
-      if (store_.disk_backed())
-        store_.release_plane_rows(PlanarStore::Plane::kLabelsOut, y0, y1);
-    }
-    ConnectivitySpanScratch scratch;
-    // Flood fills and fragment absorption can revisit rows above the scan
-    // cursor; keep a window-sized margin resident (purely a thrash
-    // heuristic — released pages refault with their data intact).
-    const int margin =
-        2 * std::max(1, static_cast<int>(std::lround(grid_.spacing()))) + 2;
-    int released = 0;
-    std::function<void(int)> on_row;
-    if (store_.disk_backed()) {
-      on_row = [&](int y) {
-        const int upto = y - margin;
-        if (upto - released >= kReleaseStride) {
-          store_.release_plane_rows(PlanarStore::Plane::kLabels, released, upto);
-          store_.release_plane_rows(PlanarStore::Plane::kLabelsOut, released,
-                                    upto);
-          released = upto;
-        }
-      };
-    }
-    const ConnectivityResult conn = enforce_connectivity_span(
-        store_.labels(), out, w, h, params_.num_superpixels, scratch, on_row,
-        /*out_prefilled=*/true);
+    const ConnectivityResult conn =
+        enforce_connectivity(planes, params_.num_superpixels);
     stats_.final_label_count = conn.final_label_count;
     instr_.final_label_count = static_cast<std::uint64_t>(conn.final_label_count);
     instr_.pixels_relabelled = conn.pixels_moved;
     instr_.connectivity_ms += connectivity_stage.complete("tiled.connectivity");
-    return out;
   }
 
   const Algorithm algorithm_;
@@ -285,23 +266,22 @@ TiledSegmenter::TiledSegmenter(Algorithm algorithm, SlicParams params,
 std::size_t TiledSegmenter::store_bytes_estimate(int width, int height) const {
   const auto n =
       static_cast<std::size_t>(width) * static_cast<std::size_t>(height);
-  // 3 float Lab planes + 2 label planes (+ optional min-dist plane);
+  // 3 float Lab planes + the label plane (+ optional min-dist plane);
   // page-rounding slop between planes is negligible at any size where the
   // estimate matters.
-  return n * (needs_min_dist(algorithm_, params_) ? std::size_t{28}
-                                                  : std::size_t{20});
+  return n * (needs_min_dist(algorithm_, params_) ? std::size_t{24}
+                                                  : std::size_t{16});
 }
 
 void TiledSegmenter::run_on_store(PlanarStore& store, Segmentation& result,
                                   Instrumentation* instrumentation,
-                                  TiledStats* stats,
-                                  const std::int32_t** final_labels) const {
+                                  TiledStats* stats) const {
   SSLIC_TRACE_SCOPE("tiled.segment");
   const TileGeometry geo =
       make_tile_geometry(store.width(), store.height(), config_,
                          store.min_dist() != nullptr);
   TiledRun run(algorithm_, params_, geo, store, *instrumentation, *stats);
-  run.run(result, final_labels);
+  run.run(result);
   publish_tiled_path(true);
   publish_tile_count(geo.num_tiles());
 }
@@ -354,11 +334,10 @@ Segmentation TiledSegmenter::segment_lab(const LabImage& lab,
   TiledStats local_stats;
   TiledStats& st = stats != nullptr ? *stats : local_stats;
   st = TiledStats{};
-  const std::int32_t* final_labels = nullptr;
-  run_on_store(store, result, &instr, &st, &final_labels);
+  run_on_store(store, result, &instr, &st);
 
   result.labels = LabelImage(w, h);
-  std::memcpy(result.labels.pixels().data(), final_labels,
+  std::memcpy(result.labels.pixels().data(), store.labels(),
               n * sizeof(std::int32_t));
   return result;
 }
@@ -394,8 +373,7 @@ void TiledSegmenter::segment_rows(LabRowSource& source, int width, int height,
   TiledStats local_stats;
   TiledStats& st = stats != nullptr ? *stats : local_stats;
   st = TiledStats{};
-  const std::int32_t* final_labels = nullptr;
-  run_on_store(store, result, &instr, &st, &final_labels);
+  run_on_store(store, result, &instr, &st);
 
   if (sink != nullptr) {
     for (int y0 = 0; y0 < height; y0 += kReleaseStride) {
@@ -403,10 +381,9 @@ void TiledSegmenter::segment_rows(LabRowSource& source, int width, int height,
       for (int y = y0; y < y1; ++y) {
         const std::size_t off =
             static_cast<std::size_t>(y) * static_cast<std::size_t>(width);
-        sink->write_row(y, final_labels + off, width);
+        sink->write_row(y, store.labels() + off, width);
       }
       store.release_plane_rows(PlanarStore::Plane::kLabels, y0, y1);
-      store.release_plane_rows(PlanarStore::Plane::kLabelsOut, y0, y1);
     }
   }
   if (centers_out != nullptr) *centers_out = std::move(result.centers);

@@ -15,10 +15,10 @@
 // depend on its region grid (slic/iteration.h gives the argument). Centers
 // whose windows span several tiles are re-fetched per tile; that halo
 // traffic is the only cost of tiling and is tracked in
-// TiledStats::halo_bytes. Cross-tile label seams are resolved by the same
-// scan-order connectivity rules as the monolithic path, run by
-// enforce_connectivity_span over the raw label plane (a global relabel
-// table, never a second full-image materialization).
+// TiledStats::halo_bytes. Cross-tile label seams are resolved by the
+// monolithic path's own connectivity pass (slic/connectivity.h), run in
+// place over the label plane with its run records laid over the dead Lab
+// planes and its pages released behind every cursor.
 //
 // The PPA path is float64-only (the bit-width exploration stays on the
 // in-memory path).
@@ -132,8 +132,7 @@ class TiledSegmenter {
 
  private:
   void run_on_store(PlanarStore& store, Segmentation& result,
-                    Instrumentation* instrumentation, TiledStats* stats,
-                    const std::int32_t** final_labels) const;
+                    Instrumentation* instrumentation, TiledStats* stats) const;
 
   Algorithm algorithm_;
   SlicParams params_;

@@ -351,15 +351,6 @@ TEST(StreamEngine, SceneCutSurvivesEvictionOfItsFrame) {
   }
 }
 
-TEST(StreamEngine, OpenStreamRejectsNegativeWarmIterations) {
-  StreamEngine engine;
-  StreamOptions opts;
-  opts.params = small_params();
-  opts.warm_iterations = -1;
-  EXPECT_THROW((void)engine.open_stream(opts), ContractViolation);
-  EXPECT_EQ(engine.stats().streams, 0u);
-}
-
 TEST(StreamEngine, SteadyStateFramesAreAllocationFree) {
   // Two warm streams; after the warm-up frames, a full submit+wait cycle
   // on both streams must not touch the heap (the engine-wide face of the
@@ -484,28 +475,6 @@ TEST(StreamEngine, BlockPolicyBackpressuresProducer) {
   EXPECT_EQ(stats.submitted, 3u);
   EXPECT_EQ(stats.completed, 3u);
   EXPECT_EQ(stats.shed, 0u);
-}
-
-TEST(StreamEngine, GlobalQueueLimitBounds) {
-  engine::EngineOptions engine_opts;
-  engine_opts.global_queue_limit = 2;
-  StreamEngine engine(engine_opts);
-  StreamOptions opts;
-  opts.params = small_params();
-  opts.queue_limit = 4;
-  opts.policy = AdmissionPolicy::kShed;
-  const StreamId a = engine.open_stream(opts);
-  const StreamId b = engine.open_stream(opts);
-  const RgbImage frame = generate_synthetic({120, 90}, 17).image;
-
-  engine.pause();
-  ASSERT_EQ(engine.submit(a, frame).status, SubmitStatus::kAdmitted);
-  ASSERT_EQ(engine.submit(b, frame).status, SubmitStatus::kAdmitted);
-  // Both per-stream queues have room, but the engine-wide bound is hit.
-  EXPECT_EQ(engine.submit(a, frame).status, SubmitStatus::kShed);
-  engine.resume();
-  engine.drain();
-  EXPECT_EQ(engine.stats().frames, 2u);
 }
 
 TEST(StreamEngine, CloseStreamDrainsThenReclaims) {

@@ -12,12 +12,14 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cctype>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -503,6 +505,63 @@ TEST(OpsServerLifecycle, StopIsIdempotentAndRestartable) {
   ASSERT_TRUE(server.start(options));
   EXPECT_GT(server.port(), 0);
   server.stop();
+}
+
+// Connects a raw socket that never sends a byte; -1 on failure.
+int connect_idle(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+TEST(OpsServerLifecycle, IdleConnectionNeitherBlocksRequestsNorStop) {
+  SKIP_IF_OPS_COMPILED_OUT();
+  using std::chrono::milliseconds;
+  ops::OpsServer server;
+  ops::OpsServer::Options options;
+  options.port = 0;
+  ASSERT_TRUE(server.start(options));
+  const int port = server.port();
+
+  // The server takes the silent client first; /healthz must still be
+  // answered once the request deadline drops it. On failure the idle
+  // socket is closed, which frees the server, so the test cannot hang.
+  const int idle = connect_idle(port);
+  ASSERT_GE(idle, 0);
+  std::this_thread::sleep_for(milliseconds(100));
+  auto healthz = std::async(std::launch::async,
+                            [port] { return http_get(port, "/healthz"); });
+  const auto answer_bound =
+      milliseconds(ops::OpsServer::kRequestDeadlineMs + 3000);
+  if (healthz.wait_for(answer_bound) != std::future_status::ready) {
+    ::close(idle);
+    server.stop();
+    FAIL() << "/healthz unanswered behind an idle connection";
+  }
+  EXPECT_TRUE(healthz.get().ok);
+  ::close(idle);
+
+  // stop() must end a pending read well inside the deadline.
+  const int pending = connect_idle(port);
+  ASSERT_GE(pending, 0);
+  std::this_thread::sleep_for(milliseconds(100));
+  auto stopped = std::async(std::launch::async, [&server] { server.stop(); });
+  const auto stop_bound = milliseconds(ops::OpsServer::kRequestDeadlineMs / 2);
+  const bool stopped_in_time =
+      stopped.wait_for(stop_bound) == std::future_status::ready;
+  ::close(pending);
+  stopped.wait();
+  EXPECT_TRUE(stopped_in_time) << "stop() waited on an idle connection";
+  EXPECT_FALSE(server.running());
 }
 
 // ---------------------------------------------------------------------------

@@ -15,8 +15,10 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "connectivity_oracle.h"
 #include "dataset/synthetic.h"
 #include "image/gradient.h"
+#include "image/planar_store.h"
 #include "slic/connectivity.h"
 #include "slic/grid.h"
 #include "slic/slic_baseline.h"
@@ -581,8 +583,7 @@ LabelImage noise(int w, int h, std::uint32_t seed) {
   return labels;
 }
 
-TEST(Connectivity, MatchesFloodFillOracleAcrossThreads) {
-  GlobalThreadsGuard threads_guard;
+std::vector<ConnectivityCase> oracle_cases() {
   std::vector<ConnectivityCase> cases;
   cases.push_back(
       {"warm PPA 960x540 K=900", warm_ppa_labels(960, 540, 900), 900});
@@ -603,6 +604,12 @@ TEST(Connectivity, MatchesFloodFillOracleAcrossThreads) {
   cases.push_back({"noise 123x45", noise(123, 45, 5), 40});
   cases.push_back({"single row 257x1", noise(257, 1, 6), 20});
   cases.push_back({"single column 1x193", noise(1, 193, 7), 20});
+  return cases;
+}
+
+TEST(Connectivity, MatchesFloodFillOracleAcrossThreads) {
+  GlobalThreadsGuard threads_guard;
+  const std::vector<ConnectivityCase> cases = oracle_cases();
 
   // One scratch for every case and thread count, so the pass also runs on
   // records left behind by larger and smaller rasters.
@@ -611,9 +618,8 @@ TEST(Connectivity, MatchesFloodFillOracleAcrossThreads) {
     const int w = c.raw.width();
     const int h = c.raw.height();
     LabelImage want(w, h);
-    ConnectivitySpanScratch span;
-    const ConnectivityResult oracle = enforce_connectivity_span(
-        c.raw.pixels().data(), want.pixels().data(), w, h, c.superpixels, span);
+    const ConnectivityResult oracle = flood_fill_connectivity(
+        c.raw.pixels().data(), want.pixels().data(), w, h, c.superpixels);
     if (c.want_final_labels >= 0) {
       EXPECT_EQ(oracle.final_label_count, c.want_final_labels) << c.name;
     }
@@ -626,6 +632,53 @@ TEST(Connectivity, MatchesFloodFillOracleAcrossThreads) {
       const std::string where =
           c.name + ", " + std::to_string(threads) + " threads";
       EXPECT_TRUE(got.pixels() == want.pixels()) << where;
+      EXPECT_EQ(result.final_label_count, oracle.final_label_count) << where;
+      EXPECT_EQ(result.components_merged, oracle.components_merged) << where;
+      EXPECT_EQ(result.pixels_moved, oracle.pixels_moved) << where;
+    }
+  }
+}
+
+// The tiled driver's form of the pass: labels and run records in a
+// disk-backed PlanarStore, the records over its Lab planes, and page
+// release with no look-back, so every cursor drops the rows it leaves (at
+// the latest when its band ends) and root lookups and later phases read
+// them back through refaults. Matching the oracle shows that released
+// label rows and records come back intact.
+TEST(Connectivity, ReleasedRowsRefaultIntactAcrossThreads) {
+  GlobalThreadsGuard threads_guard;
+  for (const ConnectivityCase& c : oracle_cases()) {
+    const int w = c.raw.width();
+    const int h = c.raw.height();
+    LabelImage want(w, h);
+    const ConnectivityResult oracle = flood_fill_connectivity(
+        c.raw.pixels().data(), want.pixels().data(), w, h, c.superpixels);
+    for (const int threads : {1, 3, 8}) {
+      ThreadPool::set_global_threads(threads);
+      PlanarStore store;
+      PlanarStore::Config config;
+      config.spill_to_disk = true;
+      store.open(w, h, /*with_min_dist=*/false, config);
+      std::copy(c.raw.pixels().begin(), c.raw.pixels().end(), store.labels());
+      std::vector<std::int32_t> row_begin(static_cast<std::size_t>(h) + 1);
+      ConnectivityPlanes planes;
+      planes.labels = store.labels();
+      planes.width = w;
+      planes.height = h;
+      planes.runs = reinterpret_cast<ConnectivityScratch::Run*>(store.lab_l());
+      planes.row_begin = row_begin.data();
+      planes.release = [](void* context, const void* begin, const void* end) {
+        static_cast<PlanarStore*>(context)->release_bytes(begin, end);
+      };
+      planes.release_context = &store;
+      planes.look_back = 0;
+      const ConnectivityResult result =
+          enforce_connectivity(planes, c.superpixels);
+      const std::string where =
+          c.name + ", " + std::to_string(threads) + " threads";
+      EXPECT_TRUE(std::equal(want.pixels().begin(), want.pixels().end(),
+                             store.labels()))
+          << where;
       EXPECT_EQ(result.final_label_count, oracle.final_label_count) << where;
       EXPECT_EQ(result.components_merged, oracle.components_merged) << where;
       EXPECT_EQ(result.pixels_moved, oracle.pixels_moved) << where;

@@ -419,7 +419,6 @@ TEST(PlanarStore, ReleasedRowsRefaultWithDataIntact) {
     store.lab_a()[i] = static_cast<float>(i) * 0.5f;
     store.lab_b()[i] = -static_cast<float>(i);
     store.labels()[i] = static_cast<std::int32_t>(i % 97);
-    store.labels_out()[i] = static_cast<std::int32_t>(i % 89);
     store.min_dist()[i] = static_cast<double>(i) * 1.25;
   }
   store.release_rows(0, 48);
@@ -428,7 +427,6 @@ TEST(PlanarStore, ReleasedRowsRefaultWithDataIntact) {
     ASSERT_EQ(store.lab_a()[i], static_cast<float>(i) * 0.5f) << i;
     ASSERT_EQ(store.lab_b()[i], -static_cast<float>(i)) << i;
     ASSERT_EQ(store.labels()[i], static_cast<std::int32_t>(i % 97)) << i;
-    ASSERT_EQ(store.labels_out()[i], static_cast<std::int32_t>(i % 89)) << i;
     ASSERT_EQ(store.min_dist()[i], static_cast<double>(i) * 1.25) << i;
   }
   store.close();
