@@ -38,9 +38,8 @@ class TemporalSlic {
       const RgbImage& frame, Instrumentation* instrumentation = nullptr);
 
   /// The warm iteration budget: half the cold budget, at least one full
-  /// round-robin of the subsets. Exposed so
-  /// stage-by-stage replays of a stream (perfbench/traced.cpp) match this
-  /// segmenter byte for byte.
+  /// round-robin of the subsets. Exposed so stage-by-stage replays of a
+  /// stream (perfbench/traced.cpp) match this segmenter byte for byte.
   [[nodiscard]] static int default_warm_iterations(const SlicParams& params);
 
   /// Drops the warm state (call at scene cuts).
